@@ -227,7 +227,7 @@ def cmd_bench(args) -> int:
             f"row failed: {row.instance} r2t={row.r2t} {row.algorithm}: {row.error}",
             file=sys.stderr,
         )
-    return EXIT_OK
+    return EXIT_SOLVER if failures else EXIT_OK
 
 
 def _load_bench_config(path, cfg: VnsConfig):
@@ -235,12 +235,13 @@ def _load_bench_config(path, cfg: VnsConfig):
         doc = json.load(fh)
     specs = []
     for entry in doc.get("instances", []):
-        dist = (
-            Distribution.NORMAL01
-            if entry["dist"] == "normal"
-            else Distribution.UNIFORM
-        )
-        spec = InstanceSpec(dist, int(entry["n"]), int(entry["m"]), int(entry["seed"]))
+        try:
+            dist = Distribution(entry["dist"])
+            spec = InstanceSpec(dist, int(entry["n"]), int(entry["m"]), int(entry["seed"]))
+        except KeyError as exc:
+            raise DataError(f"instance entry {entry!r} lacks the key {exc}") from None
+        except ValueError as exc:
+            raise DataError(f"bad instance entry {entry!r}: {exc}") from None
         r2ts = tuple(float(v) for v in entry.get("r2t", doc.get("r2t", [])))
         specs.append((spec, r2ts))
     algos = list(doc.get("algorithms", bench.ALGORITHMS))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DegenerateDataError
+from .errors import DegenerateDataError, SolverError
 
 # Agreement required between incrementally maintained and recomputed sums.
 REL_TOL = 1e-9
@@ -96,7 +96,7 @@ class Partition:
     Stores group statistics as arrays (``sizes`` shape (k,), ``sums`` shape
     (k, m)) so merge/removal updates are vectorized; ``group(q)`` exposes the
     per-group view. ``ssb`` is maintained incrementally by
-    :func:`apply_merge`/:func:`apply_removal`.
+    :func:`apply_merge`/:func:`apply_removal` and the Ward merge loop.
 
     Treat instances as values: the update functions return new partitions and
     never mutate their input.
@@ -208,11 +208,11 @@ def evaluate(ds: Dataset, p: Partition) -> VarianceSummary:
     )
 
 
-def _merge_drop(p: Partition, a: int, b: int) -> float:
+def merge_drop(sizes: np.ndarray, sums: np.ndarray, a: int, b: int) -> float:
     """Unnormalized SSB decrease caused by merging groups a and b."""
-    sa = float(p.sizes[a])
-    sb = float(p.sizes[b])
-    diff = p.sums[a] / sa - p.sums[b] / sb
+    sa = float(sizes[a])
+    sb = float(sizes[b])
+    diff = sums[a] / sa - sums[b] / sb
     return sa * sb / (sa + sb) * float(diff @ diff)
 
 
@@ -220,7 +220,7 @@ def merge_delta(ds: Dataset, p: Partition, a: int, b: int) -> float:
     """Exact R^2 drop from merging groups a and b (always >= 0), in O(m)."""
     if a == b:
         raise ValueError("cannot merge a group with itself")
-    return _merge_drop(p, a, b) / sst(ds).total
+    return merge_drop(p.sizes, p.sums, a, b) / sst(ds).total
 
 
 def apply_merge(ds: Dataset, p: Partition, a: int, b: int) -> Partition:
@@ -233,7 +233,7 @@ def apply_merge(ds: Dataset, p: Partition, a: int, b: int) -> Partition:
         raise ValueError("cannot merge a group with itself")
     g, v = (a, b) if a < b else (b, a)
     last = p.k - 1
-    drop = _merge_drop(p, a, b)
+    drop = merge_drop(p.sizes, p.sums, a, b)
 
     assignment = p.assignment.copy()
     assignment[assignment == v] = g
@@ -245,9 +245,8 @@ def apply_merge(ds: Dataset, p: Partition, a: int, b: int) -> Partition:
         assignment[p.assignment == last] = v
         sizes[v] = sizes[last]
         sums[v] = sums[last]
-    out = Partition(assignment, sizes[:last], sums[:last], p.ssb - drop, p.updates + 1)
-    _maybe_resync(ds, out)
-    return out
+    ssb, updates = resynced(ds, sizes[:last], sums[:last], p.ssb - drop, p.updates + 1)
+    return Partition(assignment, sizes[:last], sums[:last], ssb, updates)
 
 
 def _removal_gain(ds: Dataset, p: Partition, elem: int) -> float:
@@ -277,18 +276,24 @@ def apply_removal(ds: Dataset, p: Partition, elem: int) -> Partition:
     sizes[a] -= 1
     sums = np.vstack([p.sums, row])
     sums[a] -= row
-    out = Partition(assignment, sizes, sums, p.ssb + gain, p.updates + 1)
-    _maybe_resync(ds, out)
-    return out
+    ssb, updates = resynced(ds, sizes, sums, p.ssb + gain, p.updates + 1)
+    return Partition(assignment, sizes, sums, ssb, updates)
 
 
-def _maybe_resync(ds: Dataset, p: Partition) -> None:
-    if p.updates < SSB_RESYNC_INTERVAL:
-        return
-    scratch = _ssb_scratch(ds, p.sizes, p.sums)
-    if not math.isclose(p.ssb, scratch, rel_tol=REL_TOL, abs_tol=1e-9):
-        raise AssertionError(
-            f"incremental SSB drifted: cached={p.ssb!r} recomputed={scratch!r}"
+def resynced(
+    ds: Dataset, sizes: np.ndarray, sums: np.ndarray, ssb: float, updates: int
+) -> tuple[float, int]:
+    """Return ``(ssb, updates)`` for a partition's incrementally updated SSB.
+
+    Once ``updates`` reaches ``SSB_RESYNC_INTERVAL`` the SSB is replaced by
+    its from-scratch value and the count restarts; a drift beyond ``REL_TOL``
+    raises :class:`SolverError`.
+    """
+    if updates < SSB_RESYNC_INTERVAL:
+        return ssb, updates
+    scratch = _ssb_scratch(ds, sizes, sums)
+    if not math.isclose(ssb, scratch, rel_tol=REL_TOL, abs_tol=1e-9):
+        raise SolverError(
+            f"incremental SSB drifted: cached={ssb!r} recomputed={scratch!r}"
         )
-    p.ssb = scratch
-    p.updates = 0
+    return scratch, 0

@@ -2,9 +2,10 @@
 
 One VNS iteration perturbs the incumbent by isolating r elements into new
 singleton groups (shaking), rebuilds with the warm-started agglomeration,
-and accepts the rebuild iff it has fewer groups, or equally many with a
-strictly higher R^2. Acceptance resets r to 1; rejection grows r, and the
-search stops once r exceeds its cap or the wall clock runs out.
+and accepts the rebuild iff it has fewer groups, or equally many with an
+R^2 higher by more than round-off (``ward.THRESHOLD_EPS``). Acceptance
+resets r to 1; rejection grows r, and the search stops once r exceeds its
+cap or the wall clock runs out.
 
 Shaking favors elements whose isolation buys the most R^2: candidates are
 ranked by their exact removal effect and scanned with a position-biased
@@ -163,7 +164,10 @@ def vns_gc(ds: Dataset, r2t: float, cfg: VnsConfig) -> tuple[Partition, VnsTrace
         rebuilt = ward.wards_gc_from(ds, shaken, r2t)
         trace.iterations += 1
         rebuilt_r2 = rebuilt.ssb / total
-        if rebuilt.k < p_star.k or (rebuilt.k == p_star.k and rebuilt_r2 > best_r2):
+        # An equal-k gain below the guard band is round-off between merge
+        # orders, not an improvement; accepting it would reset r forever.
+        gained = rebuilt_r2 > best_r2 + ward.THRESHOLD_EPS
+        if rebuilt.k < p_star.k or (rebuilt.k == p_star.k and gained):
             p_star = rebuilt
             best_r2 = rebuilt_r2
             trace.improvements += 1

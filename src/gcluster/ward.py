@@ -6,15 +6,16 @@ Since every merge can only lower R^2, the last feasible partition in the
 sequence is the answer, and a warm-start variant lets a caller resume the
 same loop from any feasible partition.
 
-Candidate merges live in a min-heap with lazy invalidation: each heap entry
-remembers the version of both group slots it was computed for, and entries
-whose slots have since changed are discarded on pop. After a merge only the
-O(k) pairs touching the changed slots are recomputed.
+Candidate merges live in a nearest-neighbour array (Muellner's "generic"
+scheme): each group slot i keeps its best partner j > i and that pair's
+R^2 drop, so the next merge is one argmin over k slots. After a merge only
+the slots whose group or partner changed are recomputed, together in one
+vectorized pass; every other slot only compares its partner against the
+two changed groups.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -26,22 +27,23 @@ from .stats import Partition
 
 # Guard band for "R^2 >= threshold" so exact-boundary merges are kept.
 THRESHOLD_EPS = 1e-12
+# Pair cells per vectorized partner search; bounds its temporaries (~1 MiB).
+_BLOCK_CELLS = 1 << 17
 
 
 class MergeCandidate(NamedTuple):
-    """Heap entry: R^2 drop of merging slots a < b, stamped with the slot
-    versions at computation time. Tuple order gives min-delta first and the
-    lexicographically smallest (a, b) among ties."""
+    """R^2 drop of merging slots a < b. Tuple order gives min-delta first and
+    the lexicographically smallest (a, b) among ties."""
 
     delta: float
     a: int
     b: int
-    stamp_a: int
-    stamp_b: int
 
 
 # Called once per loop iteration with (partition, a, b, delta, applied);
 # applied=False marks the final probe that would have broken the threshold.
+# The partition views the loop's scratch arrays: it is valid only during the
+# call, so copy whatever must outlive it.
 StepCallback = Callable[[Partition, int, int, float, bool], None]
 
 
@@ -50,11 +52,14 @@ def _check_r2t(r2t: float) -> None:
         raise SolverError(f"threshold must lie strictly inside (0, 1), got {r2t}")
 
 
-def _drops_vs(p: Partition, g: int, others: np.ndarray) -> np.ndarray:
-    """R^2 drop (unnormalized by SST) for merging g with each id in ``others``."""
-    sg = float(p.sizes[g])
-    so = p.sizes[others].astype(np.float64)
-    diff = p.sums[others] / so[:, None] - p.sums[g] / sg
+def _drops_vs(sizes: np.ndarray, sums: np.ndarray, g: int, others) -> np.ndarray:
+    """R^2 drop (unnormalized by SST) for merging g with each id in ``others``
+    (an index array or a slice).
+
+    Bitwise symmetric: swapping g and an other only negates ``diff``."""
+    sg = float(sizes[g])
+    so = sizes[others].astype(np.float64)
+    diff = sums[others] / so[:, None] - sums[g] / sg
     return so * sg / (so + sg) * np.einsum("ij,ij->i", diff, diff)
 
 
@@ -62,8 +67,8 @@ def best_merge_scan(ds: Dataset, p: Partition) -> MergeCandidate:
     """Exhaustive reference scan over all k(k-1)/2 pairs.
 
     Returns the minimum-delta candidate with the lexicographic (a, b)
-    tie-break. This is the slow mirror of the heap-based selection and is
-    kept for verification.
+    tie-break. This is the slow mirror of the nearest-neighbour selection
+    and is kept for verification.
     """
     if p.k < 2:
         raise ValueError("need at least two groups to merge")
@@ -71,87 +76,105 @@ def best_merge_scan(ds: Dataset, p: Partition) -> MergeCandidate:
     best: MergeCandidate | None = None
     for g in range(p.k - 1):
         others = np.arange(g + 1, p.k)
-        drops = _drops_vs(p, g, others)
+        drops = _drops_vs(p.sizes, p.sums, g, others)
         for o, drop in zip(others, drops):
-            cand = MergeCandidate(float(drop) / total, g, int(o), 0, 0)
+            cand = MergeCandidate(float(drop) / total, g, int(o))
             if best is None or cand < best:
                 best = cand
     assert best is not None
     return best
 
 
-# Heap entries are bare (delta, a, b, stamp_a, stamp_b) tuples; the
-# MergeCandidate shape, but cheaper to build by the million.
-
-
-def _push_pairs(heap, p: Partition, total: float, g: int, versions) -> None:
-    others = np.concatenate([np.arange(g), np.arange(g + 1, p.k)])
-    if len(others) == 0:
-        return
-    drops = _drops_vs(p, g, others)
-    vg = versions[g]
-    push = heapq.heappush
-    for o, drop in zip(others.tolist(), (drops / total).tolist()):
-        if g < o:
-            push(heap, (drop, g, o, vg, versions[o]))
-        else:
-            push(heap, (drop, o, g, versions[o], vg))
-
-
-def _initial_heap(p: Partition, total: float) -> list[tuple]:
-    entries: list[tuple] = []
-    for g in range(p.k - 1):
-        others = np.arange(g + 1, p.k)
-        drops = _drops_vs(p, g, others)
-        entries.extend(
-            (drop, g, o, 0, 0)
-            for o, drop in zip(others.tolist(), (drops / total).tolist())
-        )
-    heapq.heapify(entries)
-    return entries
-
-
-def _pop_valid(heap, versions, k: int) -> tuple:
-    pop = heapq.heappop
-    while heap:
-        cand = pop(heap)
-        if (
-            cand[2] < k
-            and versions[cand[1]] == cand[3]
-            and versions[cand[2]] == cand[4]
-        ):
-            return cand
-    raise AssertionError("candidate heap exhausted with k > 1")
-
-
 def _agglomerate(
     ds: Dataset, p: Partition, r2t: float, on_step: StepCallback | None
 ) -> Partition:
+    """Run the merge loop in place on ``p``'s arrays, which the caller owns."""
     total = stats.sst(ds).total
-    heap = _initial_heap(p, total)
-    versions = [0] * p.k
-    current_r2 = p.ssb / total
-    while p.k > 1:
-        delta, a, b, _, _ = _pop_valid(heap, versions, p.k)
-        if current_r2 - delta < r2t - THRESHOLD_EPS:
-            if on_step is not None:
-                on_step(p, a, b, delta, False)
-            break
-        if on_step is not None:
-            on_step(p, a, b, delta, True)
-        old_k = p.k
-        p = stats.apply_merge(ds, p, a, b)
-        current_r2 = p.ssb / total
+    assignment, sizes, sums = p.assignment, p.sizes, p.sums
+    ssb, updates, k = p.ssb, p.updates, p.k
+    # nn[i]: best partner j > i (ties to the lowest j); nd[i]: its R^2 drop.
+    nn = np.zeros(k, dtype=np.int64)
+    nd = np.full(k, np.inf)
 
-        g, v, last = a, b, old_k - 1
-        versions[g] += 1
+    def refresh(rows: np.ndarray) -> None:
+        """Set nn/nd of each slot in ``rows`` (ascending) from scratch; nd is
+        inf for the top slot. Blocks of about ``_BLOCK_CELLS`` pairs use the
+        arithmetic of :func:`_drops_vs` pair by pair, so every drop is
+        bit-identical to the scan's."""
+        lo = int(rows[0]) + 1  # no row pairs with a slot at or below rows[0]
+        if lo >= k:
+            nd[rows] = np.inf
+            return
+        m = sums.shape[1]
+        so = sizes[lo:k].astype(np.float64)
+        centroids = sums[lo:k] / so[:, None]
+        cols = np.arange(lo, k)
+        step = max(1, _BLOCK_CELLS // ((k - lo) * m))
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            sg = sizes[block].astype(np.float64)[:, None]
+            diff = (centroids[None, :, :] - (sums[block] / sg)[:, None, :]).reshape(-1, m)
+            sq = np.einsum("ij,ij->i", diff, diff).reshape(len(block), -1)
+            drops = so * sg / (so + sg) * sq / total
+            drops[cols <= block[:, None]] = np.inf
+            j = np.argmin(drops, axis=1)
+            nn[block] = lo + j
+            nd[block] = drops[np.arange(len(block)), j]
+
+    def offer(c: int) -> None:
+        """Let every slot below c take c as partner if it is strictly better,
+        or equally good with a lower index."""
+        if c == 0:
+            return
+        drops = _drops_vs(sizes, sums, c, slice(0, c)) / total
+        better = (drops < nd[:c]) | ((drops == nd[:c]) & (nn[:c] > c))
+        nd[:c][better] = drops[better]
+        nn[:c][better] = c
+
+    refresh(np.arange(k))
+
+    while k > 1:
+        a = int(np.argmin(nd[:k]))
+        b = int(nn[a])
+        delta = float(nd[a])
+        applied = ssb / total - delta >= r2t - THRESHOLD_EPS
+        if on_step is not None:
+            view = Partition(assignment, sizes[:k], sums[:k], ssb, updates)
+            on_step(view, a, b, delta, applied)
+        if not applied:
+            break
+
+        # Same arithmetic and order as stats.apply_merge: g keeps the merged
+        # group, the last slot moves into the vacated v.
+        g, v, last = a, b, k - 1
+        drop = stats.merge_drop(sizes, sums, g, v)
+        assignment[assignment == v] = g
+        sizes[g] += sizes[v]
+        sums[g] += sums[v]
         if v != last:
-            versions[v] += 1
-        versions.pop()
-        _push_pairs(heap, p, total, g, versions)
+            assignment[assignment == last] = v
+            sizes[v] = sizes[last]
+            sums[v] = sums[last]
+        k = last
+        ssb, updates = stats.resynced(ds, sizes[:k], sums[:k], ssb - drop, updates + 1)
+
+        # Recompute the slots whose group or partner changed; the rest only
+        # need to see the two changed groups.
+        partners = nn[:k]
+        stale = (partners == g) | (partners == v)
+        stale[g] = True
         if v != last:
-            _push_pairs(heap, p, total, v, versions)
-    return p
+            moved = partners == last
+            below = np.arange(k) < v
+            partners[moved & below] = v  # same group, same drop, new slot
+            stale |= moved & ~below
+            stale[v] = True
+        refresh(np.flatnonzero(stale))
+        offer(g)
+        if v != last:
+            offer(v)
+
+    return Partition(assignment, sizes[:k].copy(), sums[:k].copy(), ssb, updates)
 
 
 def wards_gc(ds: Dataset, r2t: float, on_step: StepCallback | None = None) -> Partition:

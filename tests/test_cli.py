@@ -173,6 +173,41 @@ def test_bench_empty_config_is_usage_error(tmp_path):
     assert run_cli("bench", "--config", str(config)) == 2
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"dist": "gaussian", "n": 20, "m": 2, "seed": 1},  # once became uniform
+        {"n": 20, "m": 2, "seed": 1},  # once a KeyError traceback
+    ],
+)
+def test_bench_config_bad_dist_is_data_error(tmp_path, capsys, entry):
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps({"instances": [entry], "r2t": [0.6]}))
+    out_csv = tmp_path / "rows.csv"
+    assert run_cli("bench", "--config", str(config), "--out", str(out_csv)) == 3
+    assert "dist" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_bench_failed_rows_exit_4_after_writing(tmp_path, capsys):
+    config = tmp_path / "suite.json"
+    config.write_text(
+        json.dumps(
+            {
+                "instances": [{"dist": "uniform", "n": 12, "m": 2, "seed": 3}],
+                "r2t": [0.6],
+                "algorithms": ["wards", "no-such-algorithm"],
+            }
+        )
+    )
+    out_csv = tmp_path / "rows.csv"
+    assert run_cli("bench", "--config", str(config), "--out", str(out_csv)) == 4
+    captured = capsys.readouterr()
+    assert "U-12-2" in captured.out and "wrote 2 rows" in captured.out
+    assert "row failed" in captured.err and "no-such-algorithm" in captured.err
+    assert len(out_csv.read_text().strip().splitlines()) == 3
+
+
 def test_bench_per_attribute_output(tmp_path, capsys):
     config = tmp_path / "suite.json"
     config.write_text(

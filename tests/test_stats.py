@@ -15,6 +15,7 @@ from gcluster import (
     merge_delta,
     r2,
     removal_effect,
+    SolverError,
     sst,
 )
 
@@ -208,6 +209,19 @@ def test_periodic_ssb_resync_triggers():
     out = apply_removal(ds, p, 2)
     assert out.updates == 0  # resynced against the from-scratch SSB
     out.validate(ds)
+
+
+def test_ssb_drift_at_resync_is_solver_error():
+    from gcluster.stats import SSB_RESYNC_INTERVAL
+
+    ds = Dataset(np.array([[0.0], [1.0], [2.0], [9.0]]))
+    p = Partition.from_labels(ds, [0, 0, 0, 1])
+    p.updates = SSB_RESYNC_INTERVAL - 1
+    p.ssb *= 1.01  # corrupted cache, far beyond round-off
+    with pytest.raises(SolverError, match="drifted"):
+        apply_removal(ds, p, 2)
+    with pytest.raises(SolverError, match="drifted"):
+        apply_merge(ds, p, 0, 1)
 
 
 @settings(max_examples=40, deadline=None)

@@ -183,3 +183,14 @@ def test_vns_feasible_on_random_instances(seed):
     ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 20, 2, seed)))
     part, _ = run_vns(ds, 0.6, Starter.WARDS, seed=seed)
     assert evaluate(ds, part).r2 >= 0.6 - 1e-12
+
+
+def test_equal_k_round_off_gain_is_rejected():
+    # Rebuilds of this instance reach the incumbent's k with R^2 a few ulps
+    # higher, one merge order after another. Counting that as a gain reset
+    # r on every iteration: 2047 iterations and 2005 "improvements".
+    ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 30, 2, 1)))
+    best, trace = vns_gc(ds, 0.6, VnsConfig(seed=1, r_max=10))
+    assert trace.termination is Termination.RMAX_EXHAUSTED
+    assert trace.iterations == 10 and trace.improvements == 0
+    assert best.k == wards_gc(ds, 0.6).k

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gcluster import (
@@ -16,6 +16,7 @@ from gcluster import (
     generate,
     merge_delta,
     r2,
+    shake,
     standardize,
     wards_gc,
     wards_gc_from,
@@ -146,3 +147,57 @@ def test_merge_sequence_is_hierarchical():
         for g in np.unique(finer):
             members = np.flatnonzero(finer == g)
             assert len(set(coarser[members])) == 1
+
+
+@st.composite
+def tie_heavy_dataset(draw, min_n=4, max_n=24, m_range=(1, 3)):
+    """Duplicate rows or small-integer grid points: many exactly equal
+    merge deltas, so only the tie-break decides the merge order."""
+    n = draw(st.integers(min_n, max_n))
+    m = draw(st.integers(*m_range))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        distinct = rng.normal(size=(max(2, n // 3), m))
+        values = distinct[rng.integers(0, len(distinct), size=n)]
+    else:
+        values = rng.integers(0, 4, size=(n, m)).astype(np.float64)
+    assume(np.ptp(values, axis=0).max() > 0)
+    return Dataset(values)
+
+
+def _scan_checker(ds):
+    steps = []
+
+    def check(p, a, b, delta, applied):
+        ref = best_merge_scan(ds, p)
+        assert (ref.a, ref.b) == (a, b)
+        assert ref.delta == delta  # bit-identical, not just close
+        steps.append(applied)
+
+    return check, steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(tie_heavy_dataset(), st.sampled_from([0.2, 0.5, 0.8, 0.95]))
+def test_tie_heavy_merges_match_scan(ds, r2t):
+    check, steps = _scan_checker(ds)
+    wards_gc(ds, r2t, on_step=check)
+    assert steps
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    tie_heavy_dataset(min_n=12, max_n=40, m_range=(10, 10)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.5, 0.8]),
+)
+def test_warm_start_from_shaken_partition_matches_scan(ds, seed, r2t):
+    # the VNS rebuild path: a feasible incumbent plus a few isolated
+    # elements, resumed by wards_gc_from
+    start = wards_gc(ds, r2t)
+    r = min(3, ds.n - start.k)
+    assume(r >= 1)
+    shaken = shake(ds, start, r, np.random.default_rng(seed))
+    check, steps = _scan_checker(ds)
+    out = wards_gc_from(ds, shaken, r2t, on_step=check)
+    assert steps and out.k <= shaken.k
