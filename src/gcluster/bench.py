@@ -32,7 +32,6 @@ from .vns import Starter, Termination, VnsConfig, VnsTrace, vns_gc
 from .ward import wards_gc
 
 MAX_ORACLE_N = 12
-THRESHOLD_EPS = 1e-12
 
 ALGORITHMS = ("wards", "kmeans", "vns-wards", "vns-kmeans")
 
@@ -88,8 +87,7 @@ def gc_brute_force(ds: Dataset, r2t: float) -> OracleResult:
     n, m = ds.n, ds.m
     if n > MAX_ORACLE_N:
         raise DataError(f"brute force is capped at n <= {MAX_ORACLE_N}, got n={n}")
-    if not 0.0 < r2t < 1.0:
-        raise SolverError(f"threshold must lie strictly inside (0, 1), got {r2t}")
+    stats.check_threshold(r2t)
     summary = stats.sst(ds)
     total = summary.total
     means = [float(v) for v in summary.column_means]
@@ -122,7 +120,7 @@ def gc_brute_force(ds: Dataset, r2t: float) -> OracleResult:
 
     best[0] = np.nan
     worst[0] = np.nan
-    feasible = np.flatnonzero(best[1:] >= r2t - THRESHOLD_EPS) + 1
+    feasible = np.flatnonzero(stats.meets_threshold(best[1:], r2t)) + 1
     optimal_k = int(feasible.min())
     best.setflags(write=False)
     worst.setflags(write=False)

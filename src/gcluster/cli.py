@@ -74,12 +74,10 @@ def _standardization_record(ds: Dataset) -> dict | None:
 
 
 def _r2t_flag(value: str) -> float:
-    r2t = float(value)
-    if not 0.0 < r2t < 1.0:
-        raise argparse.ArgumentTypeError(
-            f"threshold must lie strictly inside (0, 1), got {r2t}"
-        )
-    return r2t
+    try:
+        return stats.check_threshold(float(value))
+    except SolverError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,8 +6,20 @@ Euclidean distance sums). The driver then bisects on the number of groups,
 probing each midpoint with the full pipeline, to find the smallest k whose
 probe meets the R^2 threshold.
 
+Both medoid stages do work in proportion to what changed, and decide
+exactly as the plain loops would. The greedy opening keeps a running
+opening cost per element and, after each opening, subtracts the change on
+the rows that moved closer. The swap search costs a candidate against every
+medoid position in one ``bincount`` pass (the fast swap of Resende &
+Werneck 2003; FastPAM, Schubert & Rousseeuw, arXiv:1810.05691), and after
+a swap reassigns only the rows whose nearest or second-nearest medoid may
+have left. The fast sums round differently from the plain ones, so they
+only screen: whatever they place within 1e-9 (relative) of the best is
+re-costed with the plain sum, and the plain rule picks among those.
+
 Everything here is deterministic: no randomness, ties broken by lowest index.
-Distances are evaluated in chunks so no n x n matrix is ever materialized.
+Distances are evaluated in chunks so no n x n matrix is ever materialized;
+one helper computes them all, squared.
 """
 
 from __future__ import annotations
@@ -19,13 +31,12 @@ import numpy as np
 
 from . import stats
 from .dataset import Dataset
-from .errors import SolverError
 from .stats import Partition
 
 MAX_LLOYD_ITERATIONS = 999
-THRESHOLD_EPS = 1e-12
 
-# Cap on transient distance-tensor size (floats) per chunk.
+# Cap (in floats) on each transient distance tensor, and on the swap search's
+# cache of candidate distance columns.
 _BLOCK_BUDGET = 1 << 22
 
 
@@ -63,17 +74,26 @@ def _chunks(count: int, per_item: int):
         yield lo, min(count, lo + step)
 
 
-def _distances(X: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Euclidean distances, shape (len(X), len(targets)). Caller chunks."""
+def _sq_distances(X: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, shape (len(X), len(targets)). Callers
+    chunk with :func:`_chunks`; medoid code takes ``np.sqrt`` of the result,
+    Lloyd compares the squares directly."""
     diff = X[:, None, :] - targets[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def _nearest_two(X: np.ndarray, points: np.ndarray):
+def _column(X: np.ndarray, j: int) -> np.ndarray:
+    """Euclidean distance of every row of X to row j."""
+    return np.sqrt(_sq_distances(X, X[j : j + 1])[:, 0])
+
+
+def _nearest_two(X: np.ndarray, points: np.ndarray, squared: bool = False):
     """Nearest and second-nearest of ``points`` for every row of X.
 
     Returns (nearest_index, nearest_dist, second_dist); second_dist is +inf
-    when there is a single point. Ties resolve to the lowest index.
+    when there is a single point. Ties resolve to the lowest index. Distances
+    are Euclidean, or squared when ``squared`` is set: the square root can
+    round two different squares to one value and so create ties.
     """
     n, m = X.shape
     nearest = np.zeros(n, dtype=np.int64)
@@ -81,7 +101,9 @@ def _nearest_two(X: np.ndarray, points: np.ndarray):
     d2 = np.full(n, np.inf)
     rows = np.arange(n)
     for lo, hi in _chunks(len(points), n * m):
-        block = _distances(X, points[lo:hi])
+        block = _sq_distances(X, points[lo:hi])
+        if not squared:
+            np.sqrt(block, out=block)
         bm = np.argmin(block, axis=1)
         bd1 = block[rows, bm]
         if hi - lo > 1:
@@ -96,6 +118,35 @@ def _nearest_two(X: np.ndarray, points: np.ndarray):
     return nearest, d1, d2
 
 
+def _swap_nearest_two(
+    X: np.ndarray,
+    medoids: list[int],
+    pos: int,
+    d_out: np.ndarray,
+    d_in: np.ndarray,
+    nearest: np.ndarray,
+    d1: np.ndarray,
+    d2: np.ndarray,
+):
+    """:func:`_nearest_two` of ``X[medoids]`` after ``medoids[pos]`` was
+    replaced; ``d_out`` and ``d_in`` are the distances to the medoid that
+    left and the one that came in.
+
+    Only rows whose nearest medoid left, or whose second-nearest may have,
+    are recomputed. The rest keep their two nearest and compare the
+    newcomer, which wins a tie for nearest when its position is lower.
+    einsum gives a pair the same bits whatever block it sits in (the tests
+    check this), so the result equals a full recompute.
+    """
+    redo = np.flatnonzero((nearest == pos) | (d_out <= d2))
+    nearest = np.where((d_in < d1) | ((d_in == d1) & (pos < nearest)), pos, nearest)
+    d2 = np.where(d_in <= d1, d1, np.minimum(d2, d_in))
+    d1 = np.minimum(d1, d_in)
+    if len(redo):
+        nearest[redo], d1[redo], d2[redo] = _nearest_two(X[redo], X[medoids])
+    return nearest, d1, d2
+
+
 def _assign_to_medoids(X: np.ndarray, medoids: list[int]):
     """Nearest-medoid assignment and total cost; each medoid is pinned to its
     own slot so every slot stays non-empty even with duplicate points."""
@@ -107,6 +158,29 @@ def _assign_to_medoids(X: np.ndarray, medoids: list[int]):
     return assignment, float(d1.sum())
 
 
+def _opening_costs(X: np.ndarray, d: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Cost sum_i min(d_i, |x_i - x_j|) of opening each column j of ``cols``
+    (ascending), bit for bit as a pass over all n columns computes it.
+
+    Such a pass sums (n, w) chunks of columns down axis 0, which numpy does
+    row by row for every w >= 2 but pairwise for a lone column. So the
+    columns of ``cols`` are summed within the full pass's chunks, and a
+    lone column from a wider chunk is summed next to a copy of itself.
+    """
+    n = len(X)
+    out = np.empty(len(cols))
+    for lo, hi in _chunks(n, n * X.shape[1]):
+        a, b = np.searchsorted(cols, [lo, hi])
+        if a == b:
+            continue
+        sel = cols[a:b]
+        if len(sel) == 1 and hi - lo > 1:
+            sel = np.repeat(sel, 2)
+        block = np.sqrt(_sq_distances(X, X[sel]))
+        out[a:b] = np.minimum(d[:, None], block).sum(axis=0)[: b - a]
+    return out
+
+
 def pmedian_greedy(ds: Dataset, p: int) -> MedoidSolution:
     """Open p medoids greedily, one per iteration.
 
@@ -114,28 +188,52 @@ def pmedian_greedy(ds: Dataset, p: int) -> MedoidSolution:
     later iteration opens the element giving the largest cost reduction.
     The opening scores of the final iteration rank the runners-up recorded
     as swap candidates (up to 2p of them).
+
+    Opening costs are updated, not recomputed: after a medoid opens, only
+    the rows whose nearest-medoid distance dropped change any column's cost.
+    Those running costs carry rounding, so they only screen: the columns
+    within ``1e-9 * scale`` of the lowest are costed exactly and the lowest
+    index among their exact minima opens. ``scale`` is the largest cost at
+    the last full pass, which bounds the rounding any running cost has
+    picked up since. The first pass, a pass that every row would update,
+    and the final pass (its costs rank the candidates) are full and exact.
     """
     n = ds.n
     if not 1 <= p <= n:
         raise ValueError(f"medoid count must be in 1..{n}, got {p}")
     X = ds.values
+    everyone = np.arange(n)
 
     medoids: list[int] = []
     d = np.full(n, np.inf)
-    last_scores = np.full(n, np.inf)
-    for _ in range(p):
-        scores = np.empty(n)
-        for lo, hi in _chunks(n, n * ds.m):
-            block = _distances(X, X[lo:hi])
-            scores[lo:hi] = np.minimum(d[:, None], block).sum(axis=0)
-        scores[medoids] = np.inf
-        chosen = int(np.argmin(scores))
-        last_scores = scores
+    scores = None  # running opening costs; None asks for a full pass
+    for step in range(p):
+        if scores is None:
+            scores = _opening_costs(X, d, everyone)
+            scores[medoids] = np.inf
+            tol = 1e-9 * max(float(scores[np.isfinite(scores)].max()), 1.0)
+            chosen = int(np.argmin(scores))
+        else:
+            near = np.flatnonzero(scores <= scores.min() + tol)
+            chosen = int(near[np.argmin(_opening_costs(X, d, near))])
         medoids.append(chosen)
-        d = np.minimum(d, _distances(X, X[chosen : chosen + 1])[:, 0])
+        if step == p - 1:
+            break
+        d_new = np.minimum(d, _column(X, chosen))
+        rows = np.flatnonzero(d_new < d)
+        if step == p - 2 or len(rows) == n:
+            scores = None  # the last pass must be exact; a full update costs a pass
+        else:
+            scores[chosen] = np.inf
+            old, new = d[rows, None], d_new[rows, None]
+            for lo, hi in _chunks(n, len(rows) * ds.m):
+                block = np.sqrt(_sq_distances(X[rows], X[lo:hi]))
+                gain = np.minimum(old, block) - np.minimum(new, block)
+                scores[lo:hi] -= gain.sum(axis=0)
+        d = d_new
 
     taken = set(medoids)
-    order = np.argsort(last_scores, kind="stable")
+    order = np.argsort(scores, kind="stable")
     candidates = [int(i) for i in order if int(i) not in taken][: 2 * p]
     assignment, total = _assign_to_medoids(X, medoids)
     return MedoidSolution(medoids, assignment, total, candidates)
@@ -146,6 +244,16 @@ def pmedian_local_search(ds: Dataset, sol: MedoidSolution) -> MedoidSolution:
 
     First-improvement scan: replace one medoid by one candidate whenever the
     reassigned total cost strictly decreases; repeat until no swap helps.
+
+    A candidate is costed against every position at once (the fast swap of
+    Resende & Werneck, also in FastPAM): with m1 = min(d1, dc), swapping out
+    position q costs sum(m1) plus the sum of min(d2, dc) - m1 over the rows
+    nearest to q. That sum rounds differently from the one-position sum, so
+    it only screens: the positions within ``1e-9 * max(cost, 1)`` of an
+    improvement are re-costed, in index order, with the one-position sum,
+    and the first strictly cheaper one is taken. After a swap only the rows
+    that may have lost their nearest or second-nearest medoid are
+    reassigned from scratch.
     """
     X = ds.values
     medoids = list(sol.medoids)
@@ -155,19 +263,28 @@ def pmedian_local_search(ds: Dataset, sol: MedoidSolution) -> MedoidSolution:
 
     nearest, d1, d2 = _nearest_two(X, X[medoids])
     cost = float(d1.sum())
+    columns: dict[int, np.ndarray] = {}
     improved = True
     while improved:
         improved = False
         for cand in sol.candidates:
             if cand in medoids:
                 continue
-            dc = _distances(X, X[cand : cand + 1])[:, 0]
-            for pos in range(p):
+            dc = columns.get(cand)
+            if dc is None:
+                dc = _column(X, cand)
+                if (len(columns) + 1) * len(X) <= _BLOCK_BUDGET:
+                    columns[cand] = dc
+            m1 = np.minimum(d1, dc)
+            trial = m1.sum() + np.bincount(nearest, np.minimum(d2, dc) - m1, minlength=p)
+            for pos in np.flatnonzero(trial < cost + 1e-9 * max(cost, 1.0)):
                 fallback = np.where(nearest == pos, d2, d1)
-                trial_cost = float(np.minimum(fallback, dc).sum())
-                if trial_cost < cost:
+                if float(np.minimum(fallback, dc).sum()) < cost:
+                    d_out = _column(X, medoids[pos])
                     medoids[pos] = cand
-                    nearest, d1, d2 = _nearest_two(X, X[medoids])
+                    nearest, d1, d2 = _swap_nearest_two(
+                        X, medoids, pos, d_out, dc, nearest, d1, d2
+                    )
                     cost = float(d1.sum())
                     improved = True
                     break
@@ -175,23 +292,6 @@ def pmedian_local_search(ds: Dataset, sol: MedoidSolution) -> MedoidSolution:
                 break
     assignment, total = _assign_to_medoids(X, medoids)
     return MedoidSolution(medoids, assignment, total, list(sol.candidates))
-
-
-def _nearest_centroid_sq(X: np.ndarray, centroids: np.ndarray):
-    """Argmin and min of squared distance to centroids, chunked."""
-    n, m = X.shape
-    best = np.full(n, np.inf)
-    idx = np.zeros(n, dtype=np.int64)
-    rows = np.arange(n)
-    for lo, hi in _chunks(len(centroids), n * m):
-        diff = X[:, None, :] - centroids[None, lo:hi, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        bm = np.argmin(d2, axis=1)
-        bd = d2[rows, bm]
-        better = bd < best
-        idx = np.where(better, bm + lo, idx)
-        best = np.where(better, bd, best)
-    return idx, best
 
 
 def kmeans(
@@ -225,7 +325,7 @@ def kmeans(
         np.add.at(centroids, labels, X)
         centroids /= sizes[:, None]
 
-        new_labels, own_sq = _nearest_centroid_sq(X, centroids)
+        new_labels, own_sq, _ = _nearest_two(X, centroids, squared=True)
         if on_iteration is not None:
             on_iteration(iterations, float(own_sq.sum()))
         new_sizes = np.bincount(new_labels, minlength=k)
@@ -263,8 +363,7 @@ def kmeans_gc(
     each midpoint with the medoid-seeded k-means pipeline. Returns the
     partition stored at the feasible endpoint.
     """
-    if not 0.0 < r2t < 1.0:
-        raise SolverError(f"threshold must lie strictly inside (0, 1), got {r2t}")
+    stats.check_threshold(r2t)
     total = stats.sst(ds).total
     a, b = 1, ds.n
     best = Partition.singletons(ds)
@@ -272,7 +371,7 @@ def kmeans_gc(
         c = (a + b) // 2
         result = _probe(ds, c)
         r2c = result.partition.ssb / total
-        feasible = r2c >= r2t - THRESHOLD_EPS
+        feasible = stats.meets_threshold(r2c, r2t)
         if on_probe is not None:
             on_probe(BisectionProbe(c, r2c, result.converged, feasible))
         if feasible:

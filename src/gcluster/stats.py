@@ -26,6 +26,9 @@ from .errors import DegenerateDataError, SolverError
 
 # Agreement required between incrementally maintained and recomputed sums.
 REL_TOL = 1e-9
+# Guard band for "R^2 >= threshold", so exact-boundary partitions stay
+# feasible; VNS also takes it as the smallest R^2 gain that is not round-off.
+THRESHOLD_EPS = 1e-12
 # Incremental SSB is resynced from scratch after this many updates to keep
 # floating-point drift bounded on long merge sequences.
 SSB_RESYNC_INTERVAL = 4096
@@ -42,14 +45,30 @@ class SstSummary:
     degenerate_attributes: np.ndarray  # bool mask, length m
 
 
+def check_threshold(r2t: float) -> float:
+    """Return ``r2t`` if it lies strictly inside (0, 1), else raise
+    :class:`SolverError`."""
+    if not 0.0 < r2t < 1.0:
+        raise SolverError(f"threshold must lie strictly inside (0, 1), got {r2t}")
+    return r2t
+
+
+def meets_threshold(r2_value, r2t: float):
+    """The feasibility rule: R^2 reaches ``r2t`` up to ``THRESHOLD_EPS``.
+    Elementwise on arrays."""
+    return r2_value >= r2t - THRESHOLD_EPS
+
+
 _SST_CACHE: "weakref.WeakKeyDictionary[Dataset, SstSummary]" = weakref.WeakKeyDictionary()
 
 
 def sst(ds: Dataset) -> SstSummary:
     """Per-attribute and total sum of squares around the grand mean.
 
-    Cached per Dataset instance. Raises :class:`DegenerateDataError` when all
-    rows are identical (SST = 0 makes R^2 undefined).
+    Cached per Dataset instance. Raises :class:`DegenerateDataError` when
+    every attribute's variance is negligible (at most 1e-12 of the
+    attribute's scale): SST is then 0 up to round-off and R^2 is undefined.
+    Identical rows are the common case, but not the only one.
     """
     cached = _SST_CACHE.get(ds)
     if cached is not None:
@@ -60,7 +79,10 @@ def sst(ds: Dataset) -> SstSummary:
     degenerate = per <= (1e-12 * scale) ** 2 * ds.n
     total = float(per.sum())
     if bool(degenerate.all()):
-        raise DegenerateDataError("all rows identical: SST is 0, R^2 undefined")
+        raise DegenerateDataError(
+            "every attribute's variance is negligible (at most 1e-12 of its "
+            "scale): SST is 0 up to round-off, R^2 undefined"
+        )
     per.setflags(write=False)
     means.setflags(write=False)
     degenerate.setflags(write=False)
@@ -161,17 +183,28 @@ class Partition:
         return cls.from_labels(ds, np.zeros(ds.n, dtype=np.int64))
 
     def validate(self, ds: Dataset) -> None:
-        """Check structural invariants plus the cached-SSB agreement."""
-        assert self.assignment.shape == (ds.n,)
-        assert self.k >= 1 and (self.sizes >= 1).all()
-        assert int(self.sizes.sum()) == ds.n
+        """Check structural invariants plus the cached-SSB agreement; raise
+        :class:`SolverError` on the first one that fails."""
+        if self.assignment.shape != (ds.n,):
+            raise SolverError(
+                f"assignment has shape {self.assignment.shape}, expected ({ds.n},)"
+            )
+        if self.k < 1 or (self.sizes < 1).any():
+            raise SolverError("partition has an empty group or no group")
+        if int(self.sizes.sum()) != ds.n:
+            raise SolverError(f"group sizes sum to {int(self.sizes.sum())}, not n={ds.n}")
         counts = np.bincount(self.assignment, minlength=self.k)
-        assert (counts == self.sizes).all(), "sizes disagree with assignment"
+        if len(counts) != self.k or (counts != self.sizes).any():
+            raise SolverError("sizes disagree with assignment")
         expect = np.zeros((self.k, ds.m))
         np.add.at(expect, self.assignment, ds.values)
-        assert np.allclose(expect, self.sums, rtol=1e-9, atol=1e-9)
+        if not np.allclose(expect, self.sums, rtol=1e-9, atol=1e-9):
+            raise SolverError("attribute sums disagree with assignment")
         scratch = _ssb_scratch(ds, self.sizes, self.sums)
-        assert math.isclose(self.ssb, scratch, rel_tol=REL_TOL, abs_tol=1e-9)
+        if not math.isclose(self.ssb, scratch, rel_tol=REL_TOL, abs_tol=1e-9):
+            raise SolverError(
+                f"cached SSB disagrees: cached={self.ssb!r} recomputed={scratch!r}"
+            )
 
 
 def _ssb_scratch(ds: Dataset, sizes: np.ndarray, sums: np.ndarray) -> float:

@@ -3,7 +3,7 @@
 One VNS iteration perturbs the incumbent by isolating r elements into new
 singleton groups (shaking), rebuilds with the warm-started agglomeration,
 and accepts the rebuild iff it has fewer groups, or equally many with an
-R^2 higher by more than round-off (``ward.THRESHOLD_EPS``). Acceptance
+R^2 higher by more than round-off (``stats.THRESHOLD_EPS``). Acceptance
 resets r to 1; rejection grows r, and the search stops once r exceeds its
 cap or the wall clock runs out.
 
@@ -166,7 +166,7 @@ def vns_gc(ds: Dataset, r2t: float, cfg: VnsConfig) -> tuple[Partition, VnsTrace
         rebuilt_r2 = rebuilt.ssb / total
         # An equal-k gain below the guard band is round-off between merge
         # orders, not an improvement; accepting it would reset r forever.
-        gained = rebuilt_r2 > best_r2 + ward.THRESHOLD_EPS
+        gained = rebuilt_r2 > best_r2 + stats.THRESHOLD_EPS
         if rebuilt.k < p_star.k or (rebuilt.k == p_star.k and gained):
             p_star = rebuilt
             best_r2 = rebuilt_r2

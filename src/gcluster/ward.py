@@ -22,11 +22,9 @@ import numpy as np
 
 from . import stats
 from .dataset import Dataset
-from .errors import InfeasibleStartError, SolverError
+from .errors import InfeasibleStartError
 from .stats import Partition
 
-# Guard band for "R^2 >= threshold" so exact-boundary merges are kept.
-THRESHOLD_EPS = 1e-12
 # Pair cells per vectorized partner search; bounds its temporaries (~1 MiB).
 _BLOCK_CELLS = 1 << 17
 
@@ -45,11 +43,6 @@ class MergeCandidate(NamedTuple):
 # The partition views the loop's scratch arrays: it is valid only during the
 # call, so copy whatever must outlive it.
 StepCallback = Callable[[Partition, int, int, float, bool], None]
-
-
-def _check_r2t(r2t: float) -> None:
-    if not 0.0 < r2t < 1.0:
-        raise SolverError(f"threshold must lie strictly inside (0, 1), got {r2t}")
 
 
 def _drops_vs(sizes: np.ndarray, sums: np.ndarray, g: int, others) -> np.ndarray:
@@ -137,7 +130,7 @@ def _agglomerate(
         a = int(np.argmin(nd[:k]))
         b = int(nn[a])
         delta = float(nd[a])
-        applied = ssb / total - delta >= r2t - THRESHOLD_EPS
+        applied = stats.meets_threshold(ssb / total - delta, r2t)
         if on_step is not None:
             view = Partition(assignment, sizes[:k], sums[:k], ssb, updates)
             on_step(view, a, b, delta, applied)
@@ -184,7 +177,7 @@ def wards_gc(ds: Dataset, r2t: float, on_step: StepCallback | None = None) -> Pa
     sequence whose R^2 is still >= r2t (singletons themselves in the extreme
     case where the very first merge would already violate the threshold).
     """
-    _check_r2t(r2t)
+    stats.check_threshold(r2t)
     stats.sst(ds)  # raises on degenerate data before any work happens
     return _agglomerate(ds, Partition.singletons(ds), r2t, on_step)
 
@@ -197,9 +190,9 @@ def wards_gc_from(
     The seed must itself satisfy the threshold; the result never has more
     groups than the seed.
     """
-    _check_r2t(r2t)
+    stats.check_threshold(r2t)
     start_r2 = stats.r2(ds, start)
-    if start_r2 < r2t - THRESHOLD_EPS:
+    if not stats.meets_threshold(start_r2, r2t):
         raise InfeasibleStartError(
             f"warm start has R^2={start_r2:.6f} < threshold {r2t}"
         )

@@ -1,7 +1,8 @@
 import hypothesis.strategies as st
 import numpy as np
+from hypothesis import assume
 
-from gcluster import Distribution, InstanceSpec, Partition, generate
+from gcluster import Dataset, Distribution, InstanceSpec, Partition, generate
 
 
 def densify(labels):
@@ -32,3 +33,19 @@ def random_partition(rng, ds, max_k=None):
     k = int(rng.integers(1, hi + 1))
     labels = rng.integers(0, k, size=ds.n)
     return Partition.from_labels(ds, densify(labels))
+
+
+@st.composite
+def tie_heavy_dataset(draw, min_n=4, max_n=24, m_range=(1, 3)):
+    """Duplicate rows or small-integer grid points: many exactly equal
+    distances and merge deltas, so tie-breaks decide the solvers' choices."""
+    n = draw(st.integers(min_n, max_n))
+    m = draw(st.integers(*m_range))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        distinct = rng.normal(size=(max(2, n // 3), m))
+        values = distinct[rng.integers(0, len(distinct), size=n)]
+    else:
+        values = rng.integers(0, 4, size=(n, m)).astype(np.float64)
+    assume(np.ptp(values, axis=0).max() > 0)
+    return Dataset(values)

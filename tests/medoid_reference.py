@@ -1,0 +1,116 @@
+"""Reference medoid stages: the plain loops that ``gcluster.kmeans`` replaced.
+
+``pmedian_greedy_scan`` recomputes every opening cost from scratch at every
+step, and ``pmedian_local_search_scan`` costs each (candidate, position)
+swap with its own sum. They are slow but obviously right, and the fast
+versions must reproduce their medoids, candidates, cost and assignment bit
+for bit. Kept self-contained so a change to the library cannot move them.
+"""
+
+import importlib
+
+import numpy as np
+
+# The package attribute ``gcluster.kmeans`` is the function, not the module.
+kmeans_module = importlib.import_module("gcluster.kmeans")
+
+
+def _chunks(count, per_item):
+    # read at call time, so a test that shrinks the budget shrinks both sides
+    step = max(1, kmeans_module._BLOCK_BUDGET // max(1, per_item))
+    for lo in range(0, count, step):
+        yield lo, min(count, lo + step)
+
+
+def _distances(X, targets):
+    diff = X[:, None, :] - targets[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def _nearest_two(X, points):
+    n, m = X.shape
+    nearest = np.zeros(n, dtype=np.int64)
+    d1 = np.full(n, np.inf)
+    d2 = np.full(n, np.inf)
+    rows = np.arange(n)
+    for lo, hi in _chunks(len(points), n * m):
+        block = _distances(X, points[lo:hi])
+        bm = np.argmin(block, axis=1)
+        bd1 = block[rows, bm]
+        if hi - lo > 1:
+            block[rows, bm] = np.inf
+            bd2 = block.min(axis=1)
+        else:
+            bd2 = np.full(n, np.inf)
+        better = bd1 < d1
+        d2 = np.where(better, np.minimum(d1, bd2), np.minimum(d2, bd1))
+        d1 = np.where(better, bd1, d1)
+        nearest = np.where(better, bm + lo, nearest)
+    return nearest, d1, d2
+
+
+def _assign_to_medoids(X, medoids):
+    nearest, d1, _ = _nearest_two(X, X[medoids])
+    assignment = nearest.copy()
+    assignment[medoids] = np.arange(len(medoids))
+    d1 = d1.copy()
+    d1[medoids] = 0.0
+    return assignment, float(d1.sum())
+
+
+def pmedian_greedy_scan(ds, p):
+    n = ds.n
+    if not 1 <= p <= n:
+        raise ValueError(f"medoid count must be in 1..{n}, got {p}")
+    X = ds.values
+
+    medoids = []
+    d = np.full(n, np.inf)
+    last_scores = np.full(n, np.inf)
+    for _ in range(p):
+        scores = np.empty(n)
+        for lo, hi in _chunks(n, n * ds.m):
+            block = _distances(X, X[lo:hi])
+            scores[lo:hi] = np.minimum(d[:, None], block).sum(axis=0)
+        scores[medoids] = np.inf
+        chosen = int(np.argmin(scores))
+        last_scores = scores
+        medoids.append(chosen)
+        d = np.minimum(d, _distances(X, X[chosen : chosen + 1])[:, 0])
+
+    taken = set(medoids)
+    order = np.argsort(last_scores, kind="stable")
+    candidates = [int(i) for i in order if int(i) not in taken][: 2 * p]
+    assignment, total = _assign_to_medoids(X, medoids)
+    return kmeans_module.MedoidSolution(medoids, assignment, total, candidates)
+
+
+def pmedian_local_search_scan(ds, sol):
+    X = ds.values
+    medoids = list(sol.medoids)
+    p = len(medoids)
+    if not sol.candidates or p == len(X):
+        return sol
+
+    nearest, d1, d2 = _nearest_two(X, X[medoids])
+    cost = float(d1.sum())
+    improved = True
+    while improved:
+        improved = False
+        for cand in sol.candidates:
+            if cand in medoids:
+                continue
+            dc = _distances(X, X[cand : cand + 1])[:, 0]
+            for pos in range(p):
+                fallback = np.where(nearest == pos, d2, d1)
+                trial_cost = float(np.minimum(fallback, dc).sum())
+                if trial_cost < cost:
+                    medoids[pos] = cand
+                    nearest, d1, d2 = _nearest_two(X, X[medoids])
+                    cost = float(d1.sum())
+                    improved = True
+                    break
+            if improved:
+                break
+    assignment, total = _assign_to_medoids(X, medoids)
+    return kmeans_module.MedoidSolution(medoids, assignment, total, list(sol.candidates))

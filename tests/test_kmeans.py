@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 
@@ -22,7 +23,8 @@ from gcluster import (
 )
 from gcluster.dataset import Distribution, InstanceSpec
 
-from conftest import small_dataset
+from conftest import small_dataset, tie_heavy_dataset
+from medoid_reference import pmedian_greedy_scan, pmedian_local_search_scan
 
 
 def three_point_line():
@@ -181,3 +183,88 @@ def test_kmeans_gc_near_one_threshold():
     ds = Dataset(np.array([[0.0], [1.0], [2.0], [3.0]]))
     p = kmeans_gc(ds, 0.999999)
     assert r2(ds, p) >= 0.999999 - 1e-12
+
+
+# Fast medoid stages against the plain loops they replaced (medoid_reference).
+
+kmeans_module = importlib.import_module("gcluster.kmeans")
+
+
+def assert_same_solution(got, ref):
+    assert got.medoids == ref.medoids
+    assert got.candidates == ref.candidates
+    assert got.total_cost == ref.total_cost  # bit-identical, not just close
+    assert np.array_equal(got.assignment, ref.assignment)
+
+
+def assert_medoid_stages_match_scan(ds, p):
+    greedy = pmedian_greedy(ds, p)
+    ref = pmedian_greedy_scan(ds, p)
+    assert_same_solution(greedy, ref)
+    assert_same_solution(
+        pmedian_local_search(ds, greedy), pmedian_local_search_scan(ds, ref)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tie_heavy_dataset(min_n=2, max_n=40, m_range=(1, 4)),
+    st.sampled_from(["1", "2", "n//2", "n-1", "n"]),
+)
+def test_tie_heavy_medoid_stages_match_scan(ds, which):
+    n = ds.n
+    p = {"1": 1, "2": 2, "n//2": n // 2, "n-1": n - 1, "n": n}[which]
+    assert_medoid_stages_match_scan(ds, p)
+
+
+def test_medoid_stages_match_scan_on_continuous_data():
+    # few ties: the screens must still pass the exact winner through
+    for seed in range(4):
+        ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 120, 3, seed)))
+        for p in (1, 2, 30, 60, 119, 120):
+            assert_medoid_stages_match_scan(ds, p)
+
+
+def test_lone_confirm_column_is_summed_like_the_full_pass(monkeypatch):
+    # Chunks of three columns, so a greedy confirm set of one column, or a
+    # confirm column alone in its chunk, is common. numpy sums a lone column
+    # pairwise but a wider block row by row; on these duplicate rows that
+    # last-bit difference changes which of two tied columns opens.
+    rng = np.random.default_rng(3)
+    n, m = 60, 2
+    distinct = rng.normal(size=(n // 3, m))
+    ds = Dataset(distinct[rng.integers(0, len(distinct), size=n)])
+    monkeypatch.setattr(kmeans_module, "_BLOCK_BUDGET", 3 * n * m)
+    confirm_sizes = []
+    opening_costs = kmeans_module._opening_costs
+
+    def recording(X, d, cols):
+        if len(cols) < len(X):
+            confirm_sizes.append(len(cols))
+        return opening_costs(X, d, cols)
+
+    monkeypatch.setattr(kmeans_module, "_opening_costs", recording)
+    for p in (15, 30, 59):
+        assert_medoid_stages_match_scan(ds, p)
+    assert 1 in confirm_sizes
+
+
+@settings(max_examples=80, deadline=None)
+@given(tie_heavy_dataset(min_n=3, max_n=30), st.integers(0, 2**32 - 1))
+def test_swap_update_equals_full_recompute(ds, seed):
+    # the swap search keeps nearest / second-nearest current by updating
+    # only the rows a swap can touch; ties must resolve as a recompute would
+    rng = np.random.default_rng(seed)
+    X = ds.values
+    p = int(rng.integers(1, ds.n))
+    picked = [int(i) for i in rng.permutation(ds.n)[: p + 1]]
+    medoids, newcomer = picked[:p], picked[p]
+    pos = int(rng.integers(p))
+    nearest, d1, d2 = kmeans_module._nearest_two(X, X[medoids])
+    d_out = kmeans_module._column(X, medoids[pos])
+    medoids[pos] = newcomer
+    got = kmeans_module._swap_nearest_two(
+        X, medoids, pos, d_out, kmeans_module._column(X, newcomer), nearest, d1, d2
+    )
+    for a, b in zip(got, kmeans_module._nearest_two(X, X[medoids])):
+        assert np.array_equal(a, b)

@@ -39,6 +39,13 @@ def test_sst_identical_rows_is_an_error():
         sst(Dataset(np.array([[1.0, 2.0], [1.0, 2.0]])))
 
 
+def test_sst_negligible_variance_is_not_called_identical_rows():
+    # the rows differ, but their variance is below the 1e-12 * scale guard
+    with pytest.raises(DegenerateDataError, match="negligible") as info:
+        sst(Dataset(np.array([[0.0], [2.3e-308]])))
+    assert "identical" not in str(info.value)
+
+
 def test_evaluate_extremes():
     ds = three_point_line()
     assert abs(evaluate(ds, Partition.singletons(ds)).r2 - 1.0) <= 1e-12
@@ -238,3 +245,19 @@ def test_incremental_ssb_stays_consistent(ds_p, rnd):
             p = apply_removal(ds, p, rnd.choice(movable))
     p.validate(ds)
     assert math.isclose(r2(ds, p), evaluate(ds, p).r2, rel_tol=REL, abs_tol=1e-9)
+
+
+def test_validate_raises_solver_error_on_corrupt_partition():
+    # explicit checks, not asserts, so they survive python -O
+    ds = Dataset(np.array([[0.0], [1.0], [2.0], [9.0]]))
+    p = Partition.from_labels(ds, [0, 0, 1, 1])
+    p.validate(ds)
+    bad_sizes = p.copy()
+    bad_sizes.sizes[0] += 1
+    bad_sizes.sizes[1] -= 1
+    with pytest.raises(SolverError, match="sizes disagree"):
+        bad_sizes.validate(ds)
+    bad_ssb = p.copy()
+    bad_ssb.ssb *= 1.01
+    with pytest.raises(SolverError, match="cached SSB"):
+        bad_ssb.validate(ds)

@@ -23,7 +23,7 @@ from gcluster import (
 )
 from gcluster.dataset import Distribution, InstanceSpec
 
-from conftest import dataset_with_partition, small_dataset
+from conftest import dataset_with_partition, small_dataset, tie_heavy_dataset
 
 
 def test_hand_trace_three_points():
@@ -147,22 +147,6 @@ def test_merge_sequence_is_hierarchical():
         for g in np.unique(finer):
             members = np.flatnonzero(finer == g)
             assert len(set(coarser[members])) == 1
-
-
-@st.composite
-def tie_heavy_dataset(draw, min_n=4, max_n=24, m_range=(1, 3)):
-    """Duplicate rows or small-integer grid points: many exactly equal
-    merge deltas, so only the tie-break decides the merge order."""
-    n = draw(st.integers(min_n, max_n))
-    m = draw(st.integers(*m_range))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        distinct = rng.normal(size=(max(2, n // 3), m))
-        values = distinct[rng.integers(0, len(distinct), size=n)]
-    else:
-        values = rng.integers(0, 4, size=(n, m)).astype(np.float64)
-    assume(np.ptp(values, axis=0).max() > 0)
-    return Dataset(values)
 
 
 def _scan_checker(ds):
