@@ -39,7 +39,6 @@ from .kmeans import (
     pmedian_local_search,
 )
 from .stats import (
-    GroupStats,
     Partition,
     SstSummary,
     VarianceSummary,
@@ -64,7 +63,6 @@ __all__ = [
     "Dataset",
     "DegenerateDataError",
     "Distribution",
-    "GroupStats",
     "InfeasibleStartError",
     "InstanceSpec",
     "KmeansResult",

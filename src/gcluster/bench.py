@@ -19,7 +19,7 @@ import io
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,12 +28,13 @@ from .dataset import Dataset, InstanceSpec, generate, instance_name, standardize
 from .errors import DataError, SolverError
 from .kmeans import kmeans_gc
 from .stats import Partition
-from .vns import Starter, Termination, VnsConfig, VnsTrace, vns_gc
+from .vns import Starter, VnsConfig, VnsTrace, vns_gc
 from .ward import wards_gc
 
 MAX_ORACLE_N = 12
 
 ALGORITHMS = ("wards", "kmeans", "vns-wards", "vns-kmeans")
+PRESETS = ("table2-small",)
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,6 @@ class AlgoOutcome:
 
     partition: Partition
     converged: bool | None = None
-    termination: Termination | None = None
     trace: VnsTrace | None = None
 
 
@@ -147,12 +147,10 @@ def run_algorithm(ds: Dataset, algo: str, r2t: float, cfg: VnsConfig) -> AlgoOut
         accepted = [p for p in probes if p.feasible]
         converged = accepted[-1].converged if accepted else True
         return AlgoOutcome(part, converged=converged)
-    if algo == "vns-wards":
-        part, trace = vns_gc(ds, r2t, dataclasses.replace(cfg, starter=Starter.WARDS))
-        return AlgoOutcome(part, termination=trace.termination, trace=trace)
-    if algo == "vns-kmeans":
-        part, trace = vns_gc(ds, r2t, dataclasses.replace(cfg, starter=Starter.KMEANS))
-        return AlgoOutcome(part, termination=trace.termination, trace=trace)
+    if algo in ("vns-wards", "vns-kmeans"):
+        starter = Starter(algo.removeprefix("vns-"))
+        part, trace = vns_gc(ds, r2t, dataclasses.replace(cfg, starter=starter))
+        return AlgoOutcome(part, trace=trace)
     raise SolverError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
 
 
@@ -161,7 +159,6 @@ def run_suite(
     algos: Sequence[str],
     cfg: VnsConfig,
     with_attribute_r2: bool = False,
-    on_row: Callable[[BenchRow], None] | None = None,
 ) -> list[BenchRow]:
     """Generate, standardize, and solve every (instance, threshold, algorithm)
     combination, in input order.
@@ -209,8 +206,6 @@ def run_suite(
                         error=str(exc),
                     )
                 rows.append(row)
-                if on_row is not None:
-                    on_row(row)
     return rows
 
 
@@ -219,8 +214,8 @@ def preset_specs(name: str, seeds: Sequence[int]) -> list[tuple[InstanceSpec, tu
     normal instances with m in {3, 5, 10} at thresholds 0.6/0.7/0.8."""
     from .dataset import Distribution
 
-    if name != "table2-small":
-        raise SolverError(f"unknown preset {name!r}")
+    if name not in PRESETS:
+        raise SolverError(f"unknown preset {name!r}; expected one of {PRESETS}")
     specs = []
     for m in (3, 5, 10):
         for seed in seeds:
@@ -232,19 +227,7 @@ def preset_specs(name: str, seeds: Sequence[int]) -> list[tuple[InstanceSpec, tu
 def rows_to_csv(rows: Sequence[BenchRow], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "instance",
-                "r2t",
-                "algorithm",
-                "k",
-                "r2",
-                "elapsed_seconds",
-                "seed",
-                "r2_per_attribute",
-                "error",
-            ]
-        )
+        writer.writerow([f.name for f in dataclasses.fields(BenchRow)])
         for row in rows:
             per_attr = (
                 "|".join(repr(v) for v in row.r2_per_attribute)

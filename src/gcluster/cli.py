@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.set_defaults(func=cmd_oracle)
 
     bench_p = sub.add_parser("bench", help="run a benchmark suite")
-    bench_p.add_argument("--preset", default=None)
+    bench_p.add_argument("--preset", choices=bench.PRESETS, default=None)
     bench_p.add_argument("--config", default=None)
     bench_p.add_argument("--seeds", type=int, default=1)
     bench_p.add_argument("--out", default="bench_rows.csv")
@@ -170,7 +170,7 @@ def cmd_solve(args) -> int:
         r2_per_attribute=[float(v) for v in summary.r2_per_attribute],
         elapsed_seconds=elapsed,
         converged=outcome.converged,
-        termination=outcome.termination.value if outcome.termination else None,
+        termination=outcome.trace.termination.value if outcome.trace else None,
         assignment=[int(g) for g in outcome.partition.assignment],
         seed=args.seed if args.algo.startswith("vns") else None,
         standardization=_standardization_record(ds),
@@ -198,8 +198,6 @@ def cmd_bench(args) -> int:
         raise UsageError("provide exactly one of --preset or --config")
     cfg = VnsConfig(r_max=args.rmax, time_limit_seconds=args.time_limit)
     if args.preset is not None:
-        if args.preset != "table2-small":
-            raise UsageError(f"unknown preset {args.preset!r}")
         if args.seeds < 1:
             raise UsageError("--seeds must be >= 1")
         specs = bench.preset_specs(args.preset, list(range(1, args.seeds + 1)))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -92,18 +93,6 @@ def sst(ds: Dataset) -> SstSummary:
 
 
 @dataclass(frozen=True)
-class GroupStats:
-    """One group's size and per-attribute member sums."""
-
-    size: int
-    attr_sums: np.ndarray
-
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.attr_sums / self.size
-
-
-@dataclass(frozen=True)
 class VarianceSummary:
     sst: float
     ssb: float
@@ -116,12 +105,15 @@ class Partition:
     """Assignment of n elements to k dense, non-empty groups.
 
     Stores group statistics as arrays (``sizes`` shape (k,), ``sums`` shape
-    (k, m)) so merge/removal updates are vectorized; ``group(q)`` exposes the
-    per-group view. ``ssb`` is maintained incrementally by
-    :func:`apply_merge`/:func:`apply_removal` and the Ward merge loop.
+    (k, m)) so merge/removal updates are vectorized. ``ssb`` is maintained
+    incrementally: each update adds its exact SSB change and passes the
+    result through :func:`resynced`.
 
-    Treat instances as values: the update functions return new partitions and
-    never mutate their input.
+    Each update has one implementation here. :func:`merge_in_place` merges
+    on the arrays, which the Ward loop owns; :func:`apply_removals` isolates
+    a list of elements on arrays it allocates once. :func:`apply_merge` and
+    :func:`apply_removal` wrap them for one step and, like every function
+    that takes a partition, never mutate their input.
     """
 
     __slots__ = ("assignment", "sizes", "sums", "ssb", "updates")
@@ -140,13 +132,6 @@ class Partition:
     @property
     def n(self) -> int:
         return len(self.assignment)
-
-    def group(self, q: int) -> GroupStats:
-        return GroupStats(int(self.sizes[q]), self.sums[q].copy())
-
-    @property
-    def groups(self) -> list[GroupStats]:
-        return [self.group(q) for q in range(self.k)]
 
     def copy(self) -> "Partition":
         return Partition(
@@ -256,61 +241,85 @@ def merge_delta(ds: Dataset, p: Partition, a: int, b: int) -> float:
     return merge_drop(p.sizes, p.sums, a, b) / sst(ds).total
 
 
-def apply_merge(ds: Dataset, p: Partition, a: int, b: int) -> Partition:
-    """Merge groups a and b, returning a new partition with k-1 groups.
+def merge_in_place(
+    assignment: np.ndarray, sizes: np.ndarray, sums: np.ndarray, g: int, v: int, last: int
+) -> None:
+    """Merge group v into group g < v on the arrays themselves.
 
-    Re-densification rule: the merged group keeps id min(a, b); the group
-    that held the last id moves into the vacated slot max(a, b).
+    Re-densification rule: the merged group keeps id g, and the group that
+    held the last id ``last`` moves into the vacated slot v. Afterwards only
+    slots ``0..last-1`` of ``sizes`` and ``sums`` are meaningful.
     """
+    assignment[assignment == v] = g
+    sizes[g] += sizes[v]
+    sums[g] += sums[v]
+    if v != last:
+        assignment[assignment == last] = v
+        sizes[v] = sizes[last]
+        sums[v] = sums[last]
+
+
+def apply_merge(ds: Dataset, p: Partition, a: int, b: int) -> Partition:
+    """Merge groups a and b, returning a new partition with k-1 groups whose
+    ids follow :func:`merge_in_place` with g = min(a, b), v = max(a, b)."""
     if a == b:
         raise ValueError("cannot merge a group with itself")
     g, v = (a, b) if a < b else (b, a)
     last = p.k - 1
-    drop = merge_drop(p.sizes, p.sums, a, b)
-
-    assignment = p.assignment.copy()
-    assignment[assignment == v] = g
-    sizes = p.sizes.copy()
-    sums = p.sums.copy()
-    sizes[g] += sizes[v]
-    sums[g] += sums[v]
-    if v != last:
-        assignment[p.assignment == last] = v
-        sizes[v] = sizes[last]
-        sums[v] = sums[last]
-    ssb, updates = resynced(ds, sizes[:last], sums[:last], p.ssb - drop, p.updates + 1)
-    return Partition(assignment, sizes[:last], sums[:last], ssb, updates)
+    drop = merge_drop(p.sizes, p.sums, g, v)
+    q = p.copy()
+    merge_in_place(q.assignment, q.sizes, q.sums, g, v, last)
+    ssb, updates = resynced(ds, q.sizes[:last], q.sums[:last], p.ssb - drop, p.updates + 1)
+    return Partition(q.assignment, q.sizes[:last], q.sums[:last], ssb, updates)
 
 
-def _removal_gain(ds: Dataset, p: Partition, elem: int) -> float:
+def _removal_gain(
+    ds: Dataset, assignment: np.ndarray, sizes: np.ndarray, sums: np.ndarray, elem: int
+) -> float:
     """Unnormalized SSB increase from isolating ``elem`` as a singleton."""
-    a = int(p.assignment[elem])
-    sa = float(p.sizes[a])
+    a = int(assignment[elem])
+    sa = float(sizes[a])
     if sa < 2:
         raise ValueError(f"element {elem} is already in a singleton group")
-    diff = p.sums[a] / sa - ds.values[elem]
+    diff = sums[a] / sa - ds.values[elem]
     return sa / (sa - 1.0) * float(diff @ diff)
 
 
 def removal_effect(ds: Dataset, p: Partition, elem: int) -> float:
     """Exact R^2 gain from moving ``elem`` into a new singleton group."""
-    return _removal_gain(ds, p, elem) / sst(ds).total
+    return _removal_gain(ds, p.assignment, p.sizes, p.sums, elem) / sst(ds).total
+
+
+def apply_removals(ds: Dataset, p: Partition, elems: Sequence[int]) -> Partition:
+    """Isolate each of ``elems`` in order into a new group; the i-th becomes
+    id k+i, so the result has k+len(elems) groups.
+
+    Equal to folding :func:`apply_removal` over ``elems``, bit for bit, but
+    the arrays are allocated once, with room for every new group.
+    """
+    k, r = p.k, len(elems)
+    assignment = p.assignment.copy()
+    sizes = np.empty(k + r, dtype=p.sizes.dtype)
+    sizes[:k] = p.sizes
+    sums = np.empty((k + r, p.sums.shape[1]), dtype=p.sums.dtype)
+    sums[:k] = p.sums
+    ssb, updates = p.ssb, p.updates
+    for i, elem in enumerate(elems):
+        gain = _removal_gain(ds, assignment, sizes, sums, elem)
+        a = int(assignment[elem])
+        row = ds.values[elem]
+        assignment[elem] = k + i
+        sizes[k + i] = 1
+        sizes[a] -= 1
+        sums[k + i] = row
+        sums[a] -= row
+        ssb, updates = resynced(ds, sizes[: k + i + 1], sums[: k + i + 1], ssb + gain, updates + 1)
+    return Partition(assignment, sizes, sums, ssb, updates)
 
 
 def apply_removal(ds: Dataset, p: Partition, elem: int) -> Partition:
     """Isolate ``elem`` into a new group (appended as id k), k+1 groups total."""
-    gain = _removal_gain(ds, p, elem)
-    a = int(p.assignment[elem])
-    row = ds.values[elem]
-
-    assignment = p.assignment.copy()
-    assignment[elem] = p.k
-    sizes = np.append(p.sizes, 1)
-    sizes[a] -= 1
-    sums = np.vstack([p.sums, row])
-    sums[a] -= row
-    ssb, updates = resynced(ds, sizes, sums, p.ssb + gain, p.updates + 1)
-    return Partition(assignment, sizes, sums, ssb, updates)
+    return apply_removals(ds, p, [elem])
 
 
 def resynced(

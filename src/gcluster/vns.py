@@ -126,10 +126,7 @@ def shake(ds: Dataset, p_star: Partition, r: int, rng: np.random.Generator) -> P
             selected.append(elem)
             group_left[member_of[elem]] -= 1
 
-    p = p_star
-    for elem in selected:
-        p = stats.apply_removal(ds, p, elem)
-    return p
+    return stats.apply_removals(ds, p_star, selected)
 
 
 def _run_starter(ds: Dataset, r2t: float, starter: Starter) -> Partition:

@@ -137,17 +137,9 @@ def _agglomerate(
         if not applied:
             break
 
-        # Same arithmetic and order as stats.apply_merge: g keeps the merged
-        # group, the last slot moves into the vacated v.
         g, v, last = a, b, k - 1
         drop = stats.merge_drop(sizes, sums, g, v)
-        assignment[assignment == v] = g
-        sizes[g] += sizes[v]
-        sums[g] += sums[v]
-        if v != last:
-            assignment[assignment == last] = v
-            sizes[v] = sizes[last]
-            sums[v] = sums[last]
+        stats.merge_in_place(assignment, sizes, sums, g, v, last)
         k = last
         ssb, updates = stats.resynced(ds, sizes[:k], sums[:k], ssb - drop, updates + 1)
 

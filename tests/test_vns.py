@@ -11,6 +11,7 @@ from gcluster import (
     Starter,
     Termination,
     VnsConfig,
+    apply_removal,
     evaluate,
     generate,
     r2,
@@ -20,6 +21,7 @@ from gcluster import (
     wards_gc,
 )
 from gcluster.dataset import Distribution, InstanceSpec
+from gcluster.stats import SSB_RESYNC_INTERVAL
 
 from conftest import dataset_with_partition
 
@@ -104,6 +106,40 @@ def test_shake_falls_back_to_top_fill_after_draw_cap():
     taken = shake(ds, p, 1, rng)
     assert taken.k == p.k + 1
     assert taken.assignment.tolist() == [2, 1, 0]  # top-ranked candidate taken
+
+
+@pytest.mark.parametrize("start_updates", [0, SSB_RESYNC_INTERVAL - 2])
+@pytest.mark.parametrize("seed", range(6))
+def test_shake_equals_sequential_apply_removal(seed, start_updates):
+    # Odd seeds draw duplicate rows, so removal effects tie. A start at
+    # SSB_RESYNC_INTERVAL - 2 makes the resync fire at the shake's second pick.
+    rng = np.random.default_rng(seed)
+    n, m = 40, 3
+    if seed % 2:
+        values = rng.normal(size=(8, m))[rng.integers(0, 8, size=n)]
+    else:
+        values = rng.normal(size=(n, m))
+    ds = Dataset(values)
+    p = wards_gc(ds, 0.6)
+    p.updates = start_updates
+    before = p.copy()
+    r = int(rng.integers(2, min(8, ds.n - p.k) + 1))
+
+    shaken = shake(ds, p, r, rng)
+
+    picks = [int(np.flatnonzero(shaken.assignment == p.k + i)[0]) for i in range(r)]
+    folded = p
+    for elem in picks:
+        folded = apply_removal(ds, folded, elem)
+    assert shaken.assignment.tobytes() == folded.assignment.tobytes()
+    assert shaken.sizes.tobytes() == folded.sizes.tobytes()
+    assert shaken.sums.tobytes() == folded.sums.tobytes()
+    assert float(shaken.ssb).hex() == float(folded.ssb).hex()
+    assert shaken.updates == folded.updates
+    if start_updates:
+        assert shaken.updates == r - 2  # resynced partway through
+    for name in ("assignment", "sizes", "sums"):  # the input is left alone
+        assert getattr(p, name).tobytes() == getattr(before, name).tobytes()
 
 
 def run_vns(ds, r2t, starter, seed=0, **kw):
