@@ -51,7 +51,7 @@ from .stats import (
     sst,
 )
 from .vns import Starter, Termination, VnsConfig, VnsTrace, shake, vns_gc
-from .ward import MergeCandidate, best_merge_scan, wards_gc, wards_gc_from
+from .ward import wards_gc, wards_gc_from
 
 __version__ = "0.1.0"
 
@@ -67,7 +67,6 @@ __all__ = [
     "InstanceSpec",
     "KmeansResult",
     "MedoidSolution",
-    "MergeCandidate",
     "OracleResult",
     "Partition",
     "SolverError",
@@ -79,7 +78,6 @@ __all__ = [
     "VnsTrace",
     "apply_merge",
     "apply_removal",
-    "best_merge_scan",
     "evaluate",
     "gc_brute_force",
     "generate",

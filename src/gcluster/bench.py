@@ -138,7 +138,24 @@ class AlgoOutcome:
 
 
 def run_algorithm(ds: Dataset, algo: str, r2t: float, cfg: VnsConfig) -> AlgoOutcome:
-    """Dispatch one named algorithm on a prepared dataset."""
+    """Run one named algorithm on a prepared dataset and certify its result.
+
+    Every returned partition is certified here, whichever solver made it:
+    R^2 is recomputed from the assignment alone and must meet ``r2t``, or
+    :class:`SolverError` is raised.
+    """
+    outcome = _dispatch(ds, algo, r2t, cfg)
+    fresh = Partition.from_labels(ds, outcome.partition.assignment)
+    certified = stats.evaluate(ds, fresh).r2
+    if not stats.meets_threshold(certified, r2t):
+        raise SolverError(
+            f"{algo} returned a partition whose recomputed R^2 {certified!r} "
+            f"misses the threshold {r2t}"
+        )
+    return outcome
+
+
+def _dispatch(ds: Dataset, algo: str, r2t: float, cfg: VnsConfig) -> AlgoOutcome:
     if algo == "wards":
         return AlgoOutcome(wards_gc(ds, r2t))
     if algo == "kmeans":

@@ -227,10 +227,19 @@ def cmd_bench(args) -> int:
 
 
 def _load_bench_config(path, cfg: VnsConfig):
+    """Parse and check a whole suite file before anything is solved; any
+    defect in it is a :class:`DataError`."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path} must hold a JSON object, got {type(doc).__name__}")
     specs = []
     for entry in doc.get("instances", []):
+        if not isinstance(entry, dict):
+            raise DataError(f"instance entry {entry!r} is not an object")
         try:
             dist = Distribution(entry["dist"])
             spec = InstanceSpec(dist, int(entry["n"]), int(entry["m"]), int(entry["seed"]))
@@ -238,14 +247,23 @@ def _load_bench_config(path, cfg: VnsConfig):
             raise DataError(f"instance entry {entry!r} lacks the key {exc}") from None
         except ValueError as exc:
             raise DataError(f"bad instance entry {entry!r}: {exc}") from None
-        r2ts = tuple(float(v) for v in entry.get("r2t", doc.get("r2t", [])))
+        raw = entry.get("r2t", doc.get("r2t", []))
+        try:
+            r2ts = tuple(stats.check_threshold(float(v)) for v in raw)
+        except (TypeError, ValueError, SolverError) as exc:
+            raise DataError(f"bad r2t {raw!r} for instance {entry!r}: {exc}") from None
+        if not r2ts:
+            raise DataError(f"instance entry {entry!r} has no r2t thresholds")
         specs.append((spec, r2ts))
     algos = list(doc.get("algorithms", bench.ALGORITHMS))
-    cfg = dataclasses.replace(
-        cfg,
-        r_max=int(doc.get("rmax", cfg.r_max)),
-        time_limit_seconds=float(doc.get("time_limit", cfg.time_limit_seconds)),
-    )
+    try:
+        cfg = dataclasses.replace(
+            cfg,
+            r_max=int(doc.get("rmax", cfg.r_max)),
+            time_limit_seconds=float(doc.get("time_limit", cfg.time_limit_seconds)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"bad rmax or time_limit in {path}: {exc}") from None
     return specs, algos, cfg
 
 

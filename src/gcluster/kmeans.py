@@ -7,13 +7,17 @@ probing each midpoint with the full pipeline, to find the smallest k whose
 probe meets the R^2 threshold.
 
 Both medoid stages do work in proportion to what changed, and decide
-exactly as the plain loops would. The greedy opening keeps a running
-opening cost per element and, after each opening, subtracts the change on
-the rows that moved closer. The swap search costs a candidate against every
-medoid position in one ``bincount`` pass (the fast swap of Resende &
-Werneck 2003; FastPAM, Schubert & Rousseeuw, arXiv:1810.05691), and after
-a swap reassigns only the rows whose nearest or second-nearest medoid may
-have left. The fast sums round differently from the plain ones, so they
+exactly as the plain loops would. The greedy opening order does not depend
+on the number of medoids p, so one bisection builds it once and every
+probe takes the prefix it needs; each prefix is exact because every opening
+is confirmed with exact costs that break ties by lowest index, as a loop
+stopping at p would. The opening keeps a running opening cost per element
+and, after each opening, subtracts the change on the rows that moved
+closer. The swap search costs a candidate against every medoid position
+in one ``bincount`` pass (the fast swap of Resende & Werneck 2003;
+FastPAM, Schubert & Rousseeuw, arXiv:1810.05691), and after a swap
+reassigns only the rows whose nearest or second-nearest medoid may have
+left. The fast sums round differently from the plain ones, so they
 only screen: whatever they place within 1e-9 (relative) of the best is
 re-costed with the plain sum, and the plain rule picks among those.
 
@@ -181,62 +185,102 @@ def _opening_costs(X: np.ndarray, d: np.ndarray, cols: np.ndarray) -> np.ndarray
     return out
 
 
-def pmedian_greedy(ds: Dataset, p: int) -> MedoidSolution:
-    """Open p medoids greedily, one per iteration.
+class _GreedyOpening:
+    """The greedy opening order, shared by every medoid count p: it is
+    extended only when a caller asks for more medoids than it holds, and
+    :func:`pmedian_greedy` says why each prefix is exact.
 
     The first medoid minimizes the summed distance to all elements; each
-    later iteration opens the element giving the largest cost reduction.
-    The opening scores of the final iteration rank the runners-up recorded
-    as swap candidates (up to 2p of them).
+    later one is the element whose opening gives the largest cost
+    reduction. Opening costs are updated, not recomputed: after a medoid
+    opens, only the rows whose nearest-medoid distance dropped change any
+    column's cost. Those running costs carry rounding, so they only screen:
+    the columns within ``tol = 1e-9 * scale`` of the lowest are costed
+    exactly and the lowest index among their exact minima opens. ``scale``
+    is the largest cost at the last full pass, which bounds the rounding any
+    running cost has picked up since. The first pass, and a pass that every
+    row would update, are full and exact.
 
-    Opening costs are updated, not recomputed: after a medoid opens, only
-    the rows whose nearest-medoid distance dropped change any column's cost.
-    Those running costs carry rounding, so they only screen: the columns
-    within ``1e-9 * scale`` of the lowest are costed exactly and the lowest
-    index among their exact minima opens. ``scale`` is the largest cost at
-    the last full pass, which bounds the rounding any running cost has
-    picked up since. The first pass, a pass that every row would update,
-    and the final pass (its costs rank the candidates) are full and exact.
+    ``d`` is every row's distance to its nearest medoid among all but the
+    last one opened: the newest opening is folded in only when the next one
+    is needed.
     """
-    n = ds.n
-    if not 1 <= p <= n:
-        raise ValueError(f"medoid count must be in 1..{n}, got {p}")
-    X = ds.values
-    everyone = np.arange(n)
 
-    medoids: list[int] = []
-    d = np.full(n, np.inf)
-    scores = None  # running opening costs; None asks for a full pass
-    for step in range(p):
-        if scores is None:
-            scores = _opening_costs(X, d, everyone)
-            scores[medoids] = np.inf
-            tol = 1e-9 * max(float(scores[np.isfinite(scores)].max()), 1.0)
-            chosen = int(np.argmin(scores))
-        else:
-            near = np.flatnonzero(scores <= scores.min() + tol)
-            chosen = int(near[np.argmin(_opening_costs(X, d, near))])
-        medoids.append(chosen)
-        if step == p - 1:
-            break
-        d_new = np.minimum(d, _column(X, chosen))
+    def __init__(self, ds: Dataset):
+        self.X = ds.values
+        self.medoids: list[int] = []
+        self.d = np.full(ds.n, np.inf)
+        self.scores: np.ndarray | None = None  # running costs; None asks for a full pass
+        self.tol = 0.0
+
+    def extend(self, p: int) -> None:
+        """Open medoids until ``p`` are open."""
+        X, n = self.X, len(self.X)
+        while len(self.medoids) < p:
+            if self.medoids:
+                self._fold_in(self.medoids[-1])
+            if self.scores is None:
+                scores = _opening_costs(X, self.d, np.arange(n))
+                scores[self.medoids] = np.inf
+                self.tol = 1e-9 * max(float(scores[np.isfinite(scores)].max()), 1.0)
+                self.scores = scores
+                chosen = int(np.argmin(scores))
+            else:
+                scores = self.scores
+                near = np.flatnonzero(scores <= scores.min() + self.tol)
+                chosen = int(near[np.argmin(_opening_costs(X, self.d, near))])
+            self.medoids.append(chosen)
+
+    def _fold_in(self, opened: int) -> None:
+        X, n, d = self.X, len(self.X), self.d
+        d_new = np.minimum(d, _column(X, opened))
         rows = np.flatnonzero(d_new < d)
-        if step == p - 2 or len(rows) == n:
-            scores = None  # the last pass must be exact; a full update costs a pass
+        if len(rows) == n:
+            self.scores = None  # an update over every row costs a full pass
         else:
-            scores[chosen] = np.inf
+            scores = self.scores
+            scores[opened] = np.inf
             old, new = d[rows, None], d_new[rows, None]
-            for lo, hi in _chunks(n, len(rows) * ds.m):
+            for lo, hi in _chunks(n, len(rows) * X.shape[1]):
                 block = np.sqrt(_sq_distances(X[rows], X[lo:hi]))
                 gain = np.minimum(old, block) - np.minimum(new, block)
                 scores[lo:hi] -= gain.sum(axis=0)
-        d = d_new
+        self.d = d_new
 
-    taken = set(medoids)
-    order = np.argsort(scores, kind="stable")
-    candidates = [int(i) for i in order if int(i) not in taken][: 2 * p]
-    assignment, total = _assign_to_medoids(X, medoids)
-    return MedoidSolution(medoids, assignment, total, candidates)
+    def solution(self, p: int) -> MedoidSolution:
+        """The greedy p-median solution: the first p openings, and as swap
+        candidates up to 2p runners-up ranked by one exact full pass of
+        opening costs over the first p - 1 medoids (the pass that opened
+        the p-th, in a loop that stops at p)."""
+        X, n = self.X, len(self.X)
+        if not 1 <= p <= n:
+            raise ValueError(f"medoid count must be in 1..{n}, got {p}")
+        self.extend(p)
+        medoids = self.medoids[:p]
+        d = np.full(n, np.inf)
+        for j in medoids[:-1]:  # the fold extend() made, bit for bit
+            d = np.minimum(d, _column(X, j))
+        order = np.argsort(_opening_costs(X, d, np.arange(n)), kind="stable")
+        taken = set(medoids)
+        candidates = [int(i) for i in order if int(i) not in taken][: 2 * p]
+        assignment, total = _assign_to_medoids(X, medoids)
+        return MedoidSolution(medoids, assignment, total, candidates)
+
+
+def pmedian_greedy(ds: Dataset, p: int) -> MedoidSolution:
+    """Open p medoids greedily, one per iteration, and record up to 2p
+    runners-up of the final iteration as swap candidates.
+
+    This is one prefix of the shared opening sequence (see
+    :class:`_GreedyOpening`): the bisection in :func:`kmeans_gc` builds the
+    sequence once and takes every probe's prefix from it. A prefix is exact
+    because each opening is confirmed with exact costs whose bits match a
+    full pass, and the lowest index among the exact minima opens whatever p
+    is, so the p-th medoid is the one a loop stopping at p would open. That
+    rests on the screening window holding the exact minimum, which the
+    bound on the running costs' rounding guarantees up to n of about 10^6.
+    """
+    return _GreedyOpening(ds).solution(p)
 
 
 def pmedian_local_search(ds: Dataset, sol: MedoidSolution) -> MedoidSolution:
@@ -345,8 +389,8 @@ def kmeans(
     return KmeansResult(Partition.from_labels(ds, labels), converged, iterations)
 
 
-def _probe(ds: Dataset, k: int) -> KmeansResult:
-    sol = pmedian_local_search(ds, pmedian_greedy(ds, k))
+def _probe(ds: Dataset, k: int, opening: _GreedyOpening) -> KmeansResult:
+    sol = pmedian_local_search(ds, opening.solution(k))
     init = Partition.from_labels(ds, sol.assignment)
     return kmeans(ds, k, init)
 
@@ -360,16 +404,18 @@ def kmeans_gc(
 
     Maintains R^2(low) < r2t <= R^2(high) with the endpoints seeded
     analytically (one group has R^2 = 0, all singletons R^2 = 1) and probes
-    each midpoint with the medoid-seeded k-means pipeline. Returns the
-    partition stored at the feasible endpoint.
+    each midpoint with the medoid-seeded k-means pipeline. Every probe takes
+    its greedy opening from one shared sequence. Returns the partition
+    stored at the feasible endpoint.
     """
     stats.check_threshold(r2t)
     total = stats.sst(ds).total
     a, b = 1, ds.n
     best = Partition.singletons(ds)
+    opening = _GreedyOpening(ds)
     while b - a >= 2:
         c = (a + b) // 2
-        result = _probe(ds, c)
+        result = _probe(ds, c, opening)
         r2c = result.partition.ssb / total
         feasible = stats.meets_threshold(r2c, r2t)
         if on_probe is not None:

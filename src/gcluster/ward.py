@@ -16,7 +16,7 @@ two changed groups.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -27,15 +27,6 @@ from .stats import Partition
 
 # Pair cells per vectorized partner search; bounds its temporaries (~1 MiB).
 _BLOCK_CELLS = 1 << 17
-
-
-class MergeCandidate(NamedTuple):
-    """R^2 drop of merging slots a < b. Tuple order gives min-delta first and
-    the lexicographically smallest (a, b) among ties."""
-
-    delta: float
-    a: int
-    b: int
 
 
 # Called once per loop iteration with (partition, a, b, delta, applied);
@@ -56,28 +47,6 @@ def _drops_vs(sizes: np.ndarray, sums: np.ndarray, g: int, others) -> np.ndarray
     return so * sg / (so + sg) * np.einsum("ij,ij->i", diff, diff)
 
 
-def best_merge_scan(ds: Dataset, p: Partition) -> MergeCandidate:
-    """Exhaustive reference scan over all k(k-1)/2 pairs.
-
-    Returns the minimum-delta candidate with the lexicographic (a, b)
-    tie-break. This is the slow mirror of the nearest-neighbour selection
-    and is kept for verification.
-    """
-    if p.k < 2:
-        raise ValueError("need at least two groups to merge")
-    total = stats.sst(ds).total
-    best: MergeCandidate | None = None
-    for g in range(p.k - 1):
-        others = np.arange(g + 1, p.k)
-        drops = _drops_vs(p.sizes, p.sums, g, others)
-        for o, drop in zip(others, drops):
-            cand = MergeCandidate(float(drop) / total, g, int(o))
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best
-
-
 def _agglomerate(
     ds: Dataset, p: Partition, r2t: float, on_step: StepCallback | None
 ) -> Partition:
@@ -93,7 +62,7 @@ def _agglomerate(
         """Set nn/nd of each slot in ``rows`` (ascending) from scratch; nd is
         inf for the top slot. Blocks of about ``_BLOCK_CELLS`` pairs use the
         arithmetic of :func:`_drops_vs` pair by pair, so every drop is
-        bit-identical to the scan's."""
+        bit-identical to the one :func:`offer` or an all-pairs scan gets."""
         lo = int(rows[0]) + 1  # no row pairs with a slot at or below rows[0]
         if lo >= k:
             nd[rows] = np.inf

@@ -18,7 +18,6 @@ from gcluster import (
     VnsConfig,
     apply_merge,
     apply_removal,
-    best_merge_scan,
     evaluate,
     gc_brute_force,
     generate,
@@ -33,6 +32,7 @@ from gcluster import (
 from gcluster.dataset import Distribution, InstanceSpec
 
 from conftest import densify
+from ward_reference import best_merge_scan
 
 REL = 1e-9
 EPS = 1e-12

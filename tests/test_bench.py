@@ -7,6 +7,7 @@ import gcluster.bench as bench_mod
 from gcluster import (
     DataError,
     Dataset,
+    Partition,
     SolverError,
     VnsConfig,
     evaluate,
@@ -126,6 +127,17 @@ def test_run_suite_reports_row_errors_and_continues(monkeypatch):
     assert len([r for r in rows if not r.error]) == 2
     table = render_table(rows)
     assert "error" in table  # failed cells render as such, not as numbers
+
+
+def test_run_suite_reports_uncertified_partition_as_error_row(monkeypatch):
+    # one group has R^2 = 0 whatever the solver claims about it
+    def one_group(ds, r2t):
+        return Partition.from_labels(ds, np.zeros(ds.n, dtype=np.int64))
+
+    monkeypatch.setattr(bench_mod, "wards_gc", one_group)
+    rows = run_suite(tiny_suite()[:1], ["wards", "kmeans"], VnsConfig())
+    assert "threshold" in rows[0].error and rows[0].k == 0
+    assert rows[1].error is None and rows[1].r2 >= 0.6 - 1e-12
 
 
 def test_preset_table2_small_shape():

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import gcluster.bench as bench_mod
 from gcluster import Dataset, Partition, evaluate, load_csv
 from gcluster.cli import main
 
@@ -206,6 +207,46 @@ def test_bench_failed_rows_exit_4_after_writing(tmp_path, capsys):
     assert "U-12-2" in captured.out and "wrote 2 rows" in captured.out
     assert "row failed" in captured.err and "no-such-algorithm" in captured.err
     assert len(out_csv.read_text().strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # an instance with no thresholds once wrote 0 rows and exited 0
+        json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": 1}]}),
+        '{"instances": [',  # malformed JSON once exited 2
+        json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": 1}], "r2t": ["high"]}),
+        json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": 1}], "r2t": 0.6}),
+        # a threshold outside (0, 1) once ran the whole suite, then exited 4
+        json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": 1}], "r2t": [0.6, 1.5]}),
+        json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": 1}], "r2t": [0.6], "rmax": "ten"}),
+        json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": 1}], "r2t": [0.6], "time_limit": "1h"}),
+        json.dumps([{"dist": "normal", "n": 12, "m": 2, "seed": 1}]),
+    ],
+    ids=["no-thresholds", "bad-json", "r2t-word", "r2t-scalar", "r2t-out-of-range",
+         "rmax-word", "time-limit-word", "not-an-object"],
+)
+def test_bench_config_is_checked_before_solving(tmp_path, capsys, text):
+    config = tmp_path / "suite.json"
+    config.write_text(text)
+    out_csv = tmp_path / "rows.csv"
+    assert run_cli("bench", "--config", str(config), "--out", str(out_csv)) == 3
+    assert "error:" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_solve_uncertified_partition_is_solver_error(tmp_path, monkeypatch, capsys):
+    # a solver whose partition claims R^2 = 1 while its labels form one group
+    def lying_wards(ds, r2t):
+        labels = np.zeros(ds.n, dtype=np.int64)
+        one = Partition.from_labels(ds, labels)
+        return Partition(labels, one.sizes, one.sums, evaluate(ds, one).sst, 0)
+
+    monkeypatch.setattr(bench_mod, "wards_gc", lying_wards)
+    path = gen_instance(tmp_path, n=20, m=2, seed=1)
+    code = run_cli("solve", "--algo", "wards", "--r2t", "0.6", "--input", str(path))
+    assert code == 4
+    assert "threshold" in capsys.readouterr().err
 
 
 def test_bench_per_attribute_output(tmp_path, capsys):

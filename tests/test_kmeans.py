@@ -19,6 +19,7 @@ from gcluster import (
     pmedian_greedy,
     pmedian_local_search,
     r2,
+    sst,
     standardize,
 )
 from gcluster.dataset import Distribution, InstanceSpec
@@ -268,3 +269,67 @@ def test_swap_update_equals_full_recompute(ds, seed):
     )
     for a, b in zip(got, kmeans_module._nearest_two(X, X[medoids])):
         assert np.array_equal(a, b)
+
+
+# One greedy opening sequence serves every bisection probe.
+
+
+def bisection_ks(n, first_feasible):
+    """The k a bisection over 1..n probes, in order, when exactly the
+    k >= first_feasible are feasible: down from n//2, then back up."""
+    a, b, ks = 1, n, []
+    while b - a >= 2:
+        c = (a + b) // 2
+        ks.append(c)
+        a, b = (a, c) if c >= first_feasible else (c, b)
+    return ks
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tie_heavy_dataset(min_n=2, max_n=40, m_range=(1, 4)),
+    st.integers(2, 40),
+    st.sampled_from([None, 7, 301]),
+)
+def test_shared_opening_answers_bisection_order_like_scan(ds, first_feasible, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(kmeans_module, "_BLOCK_BUDGET", budget)
+        opening = kmeans_module._GreedyOpening(ds)
+        for p in bisection_ks(ds.n, first_feasible) + [ds.n, 1]:
+            assert_same_solution(opening.solution(p), pmedian_greedy_scan(ds, p))
+
+
+def reference_probes(ds, r2t):
+    """kmeans_gc's probe sequence rebuilt from the plain medoid loops."""
+    total = sst(ds).total
+    a, b, probes = 1, ds.n, []
+    while b - a >= 2:
+        c = (a + b) // 2
+        sol = pmedian_local_search_scan(ds, pmedian_greedy_scan(ds, c))
+        res = kmeans(ds, c, Partition.from_labels(ds, sol.assignment))
+        r2c = res.partition.ssb / total
+        probes.append((c, r2c, res.converged))
+        a, b = (a, c) if r2c >= r2t - 1e-12 else (c, b)
+    return probes
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    tie_heavy_dataset(min_n=3, max_n=40, m_range=(1, 4)),
+    st.sampled_from([0.5, 0.7, 0.9]),
+)
+def test_kmeans_gc_probes_match_scan_pipeline(ds, r2t):
+    seen = []
+    kmeans_gc(ds, r2t, on_probe=seen.append)
+    got = [(probe.k, probe.r2, probe.converged) for probe in seen]
+    assert got == reference_probes(ds, r2t)  # R^2 compared bit for bit
+
+
+def test_kmeans_gc_probes_match_scan_pipeline_on_continuous_data():
+    for seed in range(3):
+        ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 90, 3, seed)))
+        seen = []
+        kmeans_gc(ds, 0.6, on_probe=seen.append)
+        got = [(probe.k, probe.r2, probe.converged) for probe in seen]
+        assert got == reference_probes(ds, 0.6)

@@ -10,7 +10,6 @@ from gcluster import (
     InfeasibleStartError,
     Partition,
     SolverError,
-    best_merge_scan,
     evaluate,
     gc_brute_force,
     generate,
@@ -24,6 +23,7 @@ from gcluster import (
 from gcluster.dataset import Distribution, InstanceSpec
 
 from conftest import dataset_with_partition, small_dataset, tie_heavy_dataset
+from ward_reference import best_merge_scan
 
 
 def test_hand_trace_three_points():
