@@ -52,6 +52,7 @@ class SolveReport:
     r2t: float
     k: int
     r2: float
+    r2_incremental: float
     r2_per_attribute: list[float]
     elapsed_seconds: float
     converged: bool | None
@@ -167,6 +168,7 @@ def cmd_solve(args) -> int:
         r2t=args.r2t,
         k=outcome.partition.k,
         r2=summary.r2,
+        r2_incremental=stats.r2(ds, outcome.partition),
         r2_per_attribute=[float(v) for v in summary.r2_per_attribute],
         elapsed_seconds=elapsed,
         converged=outcome.converged,
@@ -278,10 +280,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except SolverError as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -153,39 +154,52 @@ def load_csv(path, has_header: bool | None = None) -> Dataset:
     """Read a comma-separated numeric matrix (rows = elements).
 
     With ``has_header=None`` the first row is treated as a header iff any of
-    its cells does not parse as a finite number.
+    its cells does not parse as a finite number. Blank lines are skipped. One
+    streamed pass parses the cells; a :class:`DataError` names the first fault.
     """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = filter(None, csv.reader(fh))
+            first = next(rows, [])
+            if has_header is None:
+                has_header = any(_parse_cell(c) is None for c in first)
+            head = next(rows, []) if has_header else first
+            if not head:
+                raise DataError(f"{path}: {'no data rows' if first else 'file is empty'}")
+            m = len(head)
+
+            def cells():
+                for row in chain([head], rows):
+                    if len(row) != m:
+                        raise ValueError("ragged row")
+                    yield from row
+
+            # every fault ends the pass as a ValueError; _first_fault words it
+            try:
+                flat = np.fromiter(map(float, cells()), dtype=np.float64)
+                if not np.isfinite(flat).all():
+                    raise ValueError("non-finite cell")
+            except ValueError:
+                raise DataError(_first_fault(path, has_header, m)) from None
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+    n = len(flat) // m
+    if n < 2:
+        raise DataError(f"{path}: need at least 2 data rows, got {n}")
+    return Dataset(values=flat.reshape(n, m))
+
+
+def _first_fault(path, has_header: bool, m: int) -> str:
+    """Word the first fault in row-major order from a second read, as the
+    streamed pass keeps no cell text. Row numbers count non-empty rows."""
     with open(path, newline="", encoding="utf-8") as fh:
-        raw = [row for row in csv.reader(fh) if row]
-    if not raw:
-        raise DataError(f"{path}: file is empty")
-
-    first_parsed = [_parse_cell(c) for c in raw[0]]
-    if has_header is None:
-        has_header = any(v is None for v in first_parsed)
-    data_rows = raw[1:] if has_header else raw
-
-    if not data_rows:
-        raise DataError(f"{path}: no data rows")
-    m = len(data_rows[0])
-    parsed = np.empty((len(data_rows), m), dtype=np.float64)
-    for i, row in enumerate(data_rows):
-        rownum = i + 2 if has_header else i + 1
-        if len(row) != m:
-            raise DataError(
-                f"{path}: row {rownum} has {len(row)} cells, expected {m}"
-            )
-        for j, cell in enumerate(row):
-            value = _parse_cell(cell)
-            if value is None:
-                raise DataError(
-                    f"{path}: row {rownum}, column {j + 1}: "
-                    f"{cell!r} is not a finite number"
-                )
-            parsed[i, j] = value
-    if len(data_rows) < 2:
-        raise DataError(f"{path}: need at least 2 data rows, got {len(data_rows)}")
-    return Dataset(values=parsed)
+        for rownum, row in islice(enumerate(filter(None, csv.reader(fh)), 1), has_header, None):
+            if len(row) != m:
+                return f"{path}: row {rownum} has {len(row)} cells, expected {m}"
+            for j, cell in enumerate(row, 1):
+                if _parse_cell(cell) is None:
+                    return f"{path}: row {rownum}, column {j}: {cell!r} is not a finite number"
+    return f"{path}: changed while it was read"
 
 
 def write_csv(ds: Dataset, path, header: list[str] | None = None) -> None:

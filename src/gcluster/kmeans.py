@@ -364,10 +364,7 @@ def kmeans(
     iterations = 0
     for _ in range(MAX_LLOYD_ITERATIONS):
         iterations += 1
-        sizes = np.bincount(labels, minlength=k)
-        centroids = np.zeros((k, ds.m))
-        np.add.at(centroids, labels, X)
-        centroids /= sizes[:, None]
+        centroids = stats.group_sums(X, labels, k) / np.bincount(labels, minlength=k)[:, None]
 
         new_labels, own_sq, _ = _nearest_two(X, centroids, squared=True)
         if on_iteration is not None:

@@ -154,8 +154,7 @@ class Partition:
         sizes = np.bincount(labels, minlength=k)
         if (sizes == 0).any():
             raise ValueError("group ids must be dense 0..k-1 with no empty group")
-        sums = np.zeros((k, ds.m), dtype=np.float64)
-        np.add.at(sums, labels, ds.values)
+        sums = group_sums(ds.values, labels, k)
         ssb = _ssb_scratch(ds, sizes, sums)
         return cls(labels.copy(), sizes.astype(np.int64), sums, ssb)
 
@@ -181,8 +180,7 @@ class Partition:
         counts = np.bincount(self.assignment, minlength=self.k)
         if len(counts) != self.k or (counts != self.sizes).any():
             raise SolverError("sizes disagree with assignment")
-        expect = np.zeros((self.k, ds.m))
-        np.add.at(expect, self.assignment, ds.values)
+        expect = group_sums(ds.values, self.assignment, self.k)
         if not np.allclose(expect, self.sums, rtol=1e-9, atol=1e-9):
             raise SolverError("attribute sums disagree with assignment")
         scratch = _ssb_scratch(ds, self.sizes, self.sums)
@@ -190,6 +188,13 @@ class Partition:
             raise SolverError(
                 f"cached SSB disagrees: cached={self.ssb!r} recomputed={scratch!r}"
             )
+
+
+def group_sums(values: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Per-group column sums, shape (k, m), by one ``np.bincount`` per column.
+    Rows are added in ascending order, as ``np.add.at`` adds them, so the bits
+    are the same."""
+    return np.stack([np.bincount(labels, col, k) for col in values.T], axis=1)
 
 
 def _ssb_scratch(ds: Dataset, sizes: np.ndarray, sums: np.ndarray) -> float:

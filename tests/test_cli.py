@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import gcluster.bench as bench_mod
+from gcluster import stats
 from gcluster import Dataset, Partition, evaluate, load_csv
 from gcluster.cli import main
 
@@ -103,6 +105,34 @@ def test_solve_missing_input_is_data_error(tmp_path):
         "--input", str(tmp_path / "nope.csv"),
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        "r,g\n1,2\n3,4\n5,6\n".encode("latin-1") + "caf\u00e9,7\n".encode("latin-1"),
+        b"1,2\n3,4\n" + b'"' + b"9" * 131_073 + b'",5\n',
+    ],
+    ids=["latin-1", "oversized-field"],
+)
+def test_solve_unreadable_csv_is_data_error(tmp_path, capsys, payload):
+    # a Latin-1 file once exited 2 (usage); an oversized field escaped as a traceback
+    path = tmp_path / "bad.csv"
+    path.write_bytes(payload)
+    code = run_cli("solve", "--algo", "wards", "--r2t", "0.5", "--input", str(path))
+    assert code == 3
+    assert str(path) in capsys.readouterr().err
+
+
+def test_report_records_both_r2_values(tmp_path):
+    path = gen_instance(tmp_path, n=80, m=3, seed=5)
+    report_path = tmp_path / "r.json"
+    assert run_cli(
+        "solve", "--algo", "vns-wards", "--r2t", "0.7", "--input", str(path),
+        "--standardize", "--seed", "2", "--report", str(report_path),
+    ) == 0
+    report = json.loads(report_path.read_text())
+    assert math.isclose(report["r2_incremental"], report["r2"], rel_tol=stats.REL_TOL)
 
 
 def test_solve_degenerate_data_is_data_error(tmp_path):

@@ -1,8 +1,11 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcluster import (
     DataError,
@@ -163,3 +166,127 @@ def test_dataset_is_immutable():
     ds = Dataset(np.array([[0.0], [1.0]]))
     with pytest.raises(ValueError):
         ds.values[0, 0] = 5.0
+
+
+def _spell(value: float, style: int) -> str:
+    """One of several spellings that ``float`` reads back as ``value``."""
+    text = repr(value)
+    if style == 1:
+        return "%.17g" % value
+    if style == 2 and not text.startswith("-"):
+        return "+" + text
+    if style == 3:
+        return f"  {text} "
+    if style == 4 and value.is_integer() and abs(value) < 1e15:
+        sign, digits = ("-", str(int(-value))) if text.startswith("-") else ("", str(int(value)))
+        return sign + "_".join(digits)
+    return text
+
+
+_CELL_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**6), 10**6).map(float),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 8).flatmap(
+        lambda m: st.lists(
+            st.lists(st.tuples(_CELL_VALUES, st.integers(0, 4)), min_size=m, max_size=m),
+            min_size=2,
+            max_size=12,
+        )
+    ),
+    st.booleans(),
+)
+def test_load_mixed_spellings_equal_per_cell_float(tmp_path_factory, rows, header):
+    lines = [",".join(_spell(v, style) for v, style in row) for row in rows]
+    if header:
+        lines.insert(0, ",".join(f"c{j}" for j in range(len(rows[0]))))
+    path = tmp_path_factory.mktemp("spell") / "m.csv"
+    path.write_text("\n".join(lines) + "\n")
+    expect = np.array(
+        [[float(cell) for cell in line.split(",")] for line in lines[int(header):]],
+        dtype=np.float64,
+    )
+    got = load_csv(path).values
+    assert got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()  # bit for bit, -0.0 included
+
+
+@pytest.mark.parametrize(
+    "text, fault",
+    [
+        ("1,2\n3,x\n4\n", "row 2, column 2: 'x' is not a finite number"),
+        ("1,2\n3\n4,x\n", "row 2 has 1 cells, expected 2"),
+        ("1,2,3\nnan,5,x\n", "row 2, column 1: 'nan' is not a finite number"),
+        ("1,2\n3,NaN\n4,x\n", "row 2, column 2: 'NaN' is not a finite number"),
+        ("a,b\n1,2\n3,inf\n4\n", "row 3, column 2: 'inf' is not a finite number"),
+        ("1,2\n\n3,4\n\n\n5,x\n", "row 3, column 2: 'x' is not a finite number"),
+        ("a,b\n\n1,2\n\n1,2,3\n", "row 3 has 3 cells, expected 2"),
+        ("1,2\n3,1e999\n", "row 2, column 2: '1e999' is not a finite number"),
+        ("a,b\n1,x\n", "row 2, column 2: 'x' is not a finite number"),
+        ("a,b\n1,2\n", "need at least 2 data rows, got 1"),
+        ("a,b\n\n", "no data rows"),
+        ("\n\n", "file is empty"),
+    ],
+)
+def test_load_reports_first_fault_in_row_major_order(tmp_path, text, fault):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}: {fault}"
+
+
+@pytest.mark.parametrize("lead_rows", [0, 5000])
+@pytest.mark.parametrize(
+    "tail", ["caf\u00e9,1\n".encode("latin-1"), b'"' + b"9" * 131_073 + b'",1\n'],
+    ids=["latin-1", "oversized-field"],
+)
+def test_load_wraps_unreadable_text_anywhere_in_the_file(tmp_path, lead_rows, tail):
+    # 5000 rows put the fault past the first decoded chunk, inside the streamed parse
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"x,y\n" + b"1.5,2.5\n" * (lead_rows + 2) + tail)
+    with pytest.raises(DataError, match="^" + re.escape(f"{path}: ")):
+        load_csv(path)
+
+
+def test_load_skips_blank_lines(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("\nx,y\n\n1,2\n\n\n3,4\n\n")
+    assert load_csv(path).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda m: st.lists(st.lists(_CELL_VALUES, min_size=m, max_size=m), min_size=2, max_size=10)
+    )
+)
+def test_csv_round_trip_is_exact(tmp_path_factory, rows):
+    ds = Dataset(np.array(rows, dtype=np.float64))
+    path = tmp_path_factory.mktemp("exact") / "m.csv"
+    write_csv(ds, path)
+    back = load_csv(path).values
+    assert np.array_equal(back, ds.values)
+    assert back.tobytes() == ds.values.tobytes()
+
+
+def test_load_peak_memory_is_a_small_multiple_of_the_matrix(tmp_path):
+    # A loader that holds the rows as lists of strings peaks near 14x the
+    # matrix's bytes on this file; the streamed parse peaks near 2x.
+    ds = generate(InstanceSpec(Distribution.NORMAL01, 20_000, 5, 11))
+    path = tmp_path / "m.csv"
+    write_csv(ds, path)
+    tracemalloc.start()
+    try:
+        back = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.values, ds.values)
+    matrix_bytes = ds.values.nbytes
+    assert peak < 4 * matrix_bytes, f"peak {peak} B for a {matrix_bytes} B matrix"

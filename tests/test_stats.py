@@ -18,8 +18,9 @@ from gcluster import (
     SolverError,
     sst,
 )
+from gcluster.stats import group_sums
 
-from conftest import dataset_with_partition
+from conftest import dataset_with_partition, tie_heavy_dataset
 
 REL = 1e-9
 
@@ -261,3 +262,32 @@ def test_validate_raises_solver_error_on_corrupt_partition():
     bad_ssb.ssb *= 1.01
     with pytest.raises(SolverError, match="cached SSB"):
         bad_ssb.validate(ds)
+
+
+def _add_at_sums(values, labels, k):
+    sums = np.zeros((k, values.shape[1]))
+    np.add.at(sums, labels, values)
+    return sums
+
+
+@settings(max_examples=60, deadline=None)
+@given(tie_heavy_dataset(max_n=40, m_range=(1, 5)), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_group_sums_match_add_at_bit_for_bit_on_tie_heavy_data(ds, k, seed):
+    labels = np.random.default_rng(seed).integers(0, k, size=ds.n)
+    got = group_sums(ds.values, labels, k)
+    assert got.shape == (k, ds.m) and got.flags.c_contiguous
+    assert got.tobytes() == _add_at_sums(ds.values, labels, k).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("kind", ["duplicate rows", "scaled by 1e6"])
+def test_group_sums_match_add_at_bit_for_bit(seed, kind):
+    rng = np.random.default_rng(seed)
+    n, m, k = 3000, 5, 50
+    if kind == "duplicate rows":
+        distinct = rng.normal(size=(40, m))
+        values = distinct[rng.integers(0, 40, size=n)]
+    else:
+        values = rng.normal(size=(n, m)) * 1e6
+    labels = rng.integers(0, k, size=n)
+    assert group_sums(values, labels, k).tobytes() == _add_at_sums(values, labels, k).tobytes()
