@@ -53,6 +53,16 @@ def instance_name(spec: InstanceSpec) -> str:
     return f"{prefix}-{spec.n}-{spec.m}"
 
 
+class _Owned:
+    """A float64 matrix that this module has just built and hands over to
+    :class:`Dataset`, which keeps it instead of a copy."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable n x m data matrix with standardization metadata.
@@ -69,7 +79,10 @@ class Dataset:
     degenerate_columns: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, copy=True)
+        if isinstance(self.values, _Owned):
+            arr = self.values.array
+        else:  # the caller may still write to what it passed
+            arr = np.array(self.values, dtype=np.float64, copy=True)
         if arr.ndim != 2:
             raise DataError(f"expected a 2-d matrix, got shape {arr.shape}")
         n, m = arr.shape
@@ -112,7 +125,7 @@ def generate(spec: InstanceSpec) -> Dataset:
         vals = rng.standard_normal((spec.n, spec.m))
     else:
         vals = rng.uniform(-1.0, 1.0, size=(spec.n, spec.m))
-    return Dataset(values=vals)
+    return Dataset(values=_Owned(vals))
 
 
 def standardize(ds: Dataset) -> Dataset:
@@ -134,7 +147,7 @@ def standardize(ds: Dataset) -> Dataset:
     out = (ds.values - means) / safe_sds
     out[:, degenerate] = 0.0
     return Dataset(
-        values=out,
+        values=_Owned(out),
         standardized=True,
         column_means=means,
         column_sds=sds,
@@ -186,7 +199,7 @@ def load_csv(path, has_header: bool | None = None) -> Dataset:
     n = len(flat) // m
     if n < 2:
         raise DataError(f"{path}: need at least 2 data rows, got {n}")
-    return Dataset(values=flat.reshape(n, m))
+    return Dataset(values=_Owned(flat.reshape(n, m)))
 
 
 def _first_fault(path, has_header: bool, m: int) -> str:

@@ -85,15 +85,17 @@ def shake(ds: Dataset, p_star: Partition, r: int, rng: np.random.Generator) -> P
         raise ValueError(f"shake radius must satisfy 1 <= r <= n - k, got r={r}")
     total = stats.sst(ds).total
 
-    group_left = p_star.sizes.copy()
-    member_of = p_star.assignment
-    eligible = np.flatnonzero(group_left[member_of] >= 2)
+    assignment = p_star.assignment
+    eligible = np.flatnonzero(p_star.sizes[assignment] >= 2)
     centroids = p_star.sums / p_star.sizes[:, None]
-    diffs = ds.values[eligible] - centroids[member_of[eligible]]
-    sizes = p_star.sizes[member_of[eligible]].astype(np.float64)
+    diffs = ds.values[eligible] - centroids[assignment[eligible]]
+    sizes = p_star.sizes[assignment[eligible]].astype(np.float64)
     effects = sizes / (sizes - 1.0) * np.einsum("ij,ij->i", diffs, diffs) / total
     order = np.lexsort((eligible, -effects))
-    ranked = [int(e) for e in eligible[order]]
+    # the coin loop below runs on Python ints, not numpy scalars
+    ranked = eligible[order].tolist()
+    group_left = p_star.sizes.tolist()
+    member_of = assignment.tolist()
 
     denom = min(n, 2 * r)
     selected: list[int] = []
@@ -110,8 +112,10 @@ def shake(ds: Dataset, p_star: Partition, r: int, rng: np.random.Generator) -> P
                 continue  # depleted by an earlier pick; drop silently
             position += 1
             if position >= denom:
-                kept.append(elem)  # zero selection probability this pass
-                continue
+                # zero selection probability for the rest of this pass; any
+                # depleted candidate among them drops out in a later pass
+                kept.extend(ranked[idx:])
+                break
             draws += 1
             if rng.random() > position / denom:
                 selected.append(elem)
@@ -144,6 +148,8 @@ def vns_gc(ds: Dataset, r2t: float, cfg: VnsConfig) -> tuple[Partition, VnsTrace
     trace = VnsTrace()
 
     p_star = _run_starter(ds, r2t, cfg.starter)
+    # every rebuild resumes from the incumbent's partner arrays
+    partners = ward.nearest_partners(ds, p_star)
     total = stats.sst(ds).total
     best_r2 = p_star.ssb / total
     trace.best_history.append((time.perf_counter() - t0, p_star.k, best_r2))
@@ -158,7 +164,7 @@ def vns_gc(ds: Dataset, r2t: float, cfg: VnsConfig) -> tuple[Partition, VnsTrace
             trace.termination = Termination.RMAX_EXHAUSTED
             break
         shaken = shake(ds, p_star, r, rng)
-        rebuilt = ward.wards_gc_from(ds, shaken, r2t)
+        rebuilt = ward.wards_gc_from(ds, shaken, r2t, _warm=partners)
         trace.iterations += 1
         rebuilt_r2 = rebuilt.ssb / total
         # An equal-k gain below the guard band is round-off between merge
@@ -166,6 +172,7 @@ def vns_gc(ds: Dataset, r2t: float, cfg: VnsConfig) -> tuple[Partition, VnsTrace
         gained = rebuilt_r2 > best_r2 + stats.THRESHOLD_EPS
         if rebuilt.k < p_star.k or (rebuilt.k == p_star.k and gained):
             p_star = rebuilt
+            partners = ward.nearest_partners(ds, p_star)
             best_r2 = rebuilt_r2
             trace.improvements += 1
             trace.best_history.append((time.perf_counter() - t0, p_star.k, best_r2))

@@ -290,3 +290,38 @@ def test_load_peak_memory_is_a_small_multiple_of_the_matrix(tmp_path):
     assert np.array_equal(back.values, ds.values)
     matrix_bytes = ds.values.nbytes
     assert peak < 4 * matrix_bytes, f"peak {peak} B for a {matrix_bytes} B matrix"
+
+
+def test_load_keeps_the_parsed_matrix_instead_of_a_copy(tmp_path):
+    # The parse peaks near 1.4x the matrix's bytes, from the growth of its
+    # buffer. A Dataset that copied the parsed matrix would add 1x more.
+    ds = generate(InstanceSpec(Distribution.NORMAL01, 20_000, 5, 11))
+    path = tmp_path / "m.csv"
+    write_csv(ds, path)
+    tracemalloc.start()
+    try:
+        back = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.values, ds.values)
+    matrix_bytes = ds.values.nbytes
+    assert peak < 1.75 * matrix_bytes, f"peak {peak} B for a {matrix_bytes} B matrix"
+
+
+def test_dataset_copies_a_callers_array():
+    given = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 7.0]])
+    ds = Dataset(given)
+    given[0, 0] = 99.0
+    assert ds.values[0, 0] == 0.0
+    assert given.flags.writeable  # the caller's own array is left alone
+
+
+def test_loaded_and_standardized_values_are_read_only(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("0,1\n2,5\n4,0\n")
+    loaded = load_csv(path)
+    for ds in (loaded, standardize(loaded)):
+        assert not ds.values.flags.writeable
+        with pytest.raises(ValueError):
+            ds.values[0, 0] = 1.0

@@ -18,6 +18,7 @@ from gcluster import (
     shake,
     standardize,
     vns_gc,
+    ward,
     wards_gc,
 )
 from gcluster.dataset import Distribution, InstanceSpec
@@ -230,3 +231,32 @@ def test_equal_k_round_off_gain_is_rejected():
     assert trace.termination is Termination.RMAX_EXHAUSTED
     assert trace.iterations == 10 and trace.improvements == 0
     assert best.k == wards_gc(ds, 0.6).k
+
+
+@pytest.mark.parametrize("starter", list(Starter))
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_warm_rebuilds_match_cold_rebuilds(monkeypatch, starter, duplicates):
+    # Every rebuild resumes from the incumbent's partner arrays; forcing
+    # cold rebuilds must not change a single decision of the search.
+    rng = np.random.default_rng(17)
+    values = rng.normal(size=(60, 3))
+    if duplicates:
+        values = values[rng.integers(0, 15, size=60)]
+    ds = Dataset(values)
+
+    def outcome():
+        part, trace = run_vns(ds, 0.7, starter, seed=4, r_max=12)
+        history = [(k, float(r).hex()) for _, k, r in trace.best_history]
+        return part.assignment.tobytes(), trace.iterations, trace.improvements, history
+
+    warm = outcome()
+    resume = ward.wards_gc_from
+    offered = []
+
+    def cold(ds, start, r2t, on_step=None, *, _warm=None):
+        offered.append(_warm is not None)
+        return resume(ds, start, r2t, on_step)
+
+    monkeypatch.setattr(ward, "wards_gc_from", cold)
+    assert outcome() == warm
+    assert offered and all(offered)  # the search did hand over partner arrays

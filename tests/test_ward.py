@@ -17,12 +17,14 @@ from gcluster import (
     r2,
     shake,
     standardize,
+    stats,
+    ward,
     wards_gc,
     wards_gc_from,
 )
 from gcluster.dataset import Distribution, InstanceSpec
 
-from conftest import dataset_with_partition, small_dataset, tie_heavy_dataset
+from conftest import dataset_with_partition, random_partition, small_dataset, tie_heavy_dataset
 from ward_reference import best_merge_scan
 
 
@@ -185,3 +187,53 @@ def test_warm_start_from_shaken_partition_matches_scan(ds, seed, r2t):
     check, steps = _scan_checker(ds)
     out = wards_gc_from(ds, shaken, r2t, on_step=check)
     assert steps and out.k <= shaken.k
+
+
+def _recorded_rebuild(ds, start, r2t, **warm):
+    steps = []
+
+    def record(p, a, b, delta, applied):
+        steps.append((a, b, float(delta).hex(), applied))
+
+    out = wards_gc_from(ds, start, r2t, on_step=record, **warm)
+    return steps, out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(tie_heavy_dataset(min_n=8, max_n=40), small_dataset(min_n=8, max_n=30)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.3, 0.6, 0.9]),
+    st.booleans(),
+)
+def test_warm_rebuild_matches_cold_rebuild(ds, seed, r2t, messy):
+    # VNS resumes each rebuild from the incumbent's partner arrays; every
+    # step and the result must be those of the cold rebuild, bit for bit.
+    # A Ward incumbent is the vns-wards case. A random one stands in for the
+    # k-means starter's, whose groups Ward would not build: there a shrunk
+    # group can be a worse partner than before, which only a recomputation
+    # of the slots that partnered it can see.
+    rng = np.random.default_rng(seed)
+    if messy:
+        incumbent = random_partition(rng, ds)
+        r2t *= r2(ds, incumbent)
+        assume(r2t > 0)
+    else:
+        incumbent = wards_gc(ds, r2t)
+    assume(ds.n - incumbent.k >= 1)
+    partners = ward.nearest_partners(ds, incumbent)
+    for r in sorted({1, min(3, ds.n - incumbent.k), ds.n - incumbent.k}):
+        shaken = shake(ds, incumbent, r, rng)
+        # the resumed arrays are the cold ones; the top slot has no partner
+        resumed = ward._Nearest(shaken.sizes, shaken.sums, stats.sst(ds).total)
+        resumed.resume(shaken.sizes, partners)
+        fresh = ward.nearest_partners(ds, shaken)
+        assert resumed.nd.tobytes() == fresh.nd.tobytes()
+        assert resumed.nn[:-1].tobytes() == fresh.nn[:-1].tobytes()
+
+        cold_steps, cold = _recorded_rebuild(ds, shaken, r2t)
+        warm_steps, warm = _recorded_rebuild(ds, shaken, r2t, _warm=partners)
+        assert warm_steps == cold_steps
+        for name in ("assignment", "sizes", "sums"):
+            assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()
+        assert float(warm.ssb).hex() == float(cold.ssb).hex()

@@ -3,10 +3,10 @@ nearest-neighbour loop must reproduce.
 
 ``best_merge_scan`` costs all k(k-1)/2 pairs of a partition and returns the
 smallest R^2 drop with the lexicographic (a, b) tie-break. It is slow but
-obviously right. Each drop uses the same arithmetic as the library's
-``_drops_vs`` (which is bitwise symmetric in the pair), so the loop's choice
-and delta must match it bit for bit. Kept self-contained so a change to the
-library cannot move it.
+obviously right. Each drop uses the same arithmetic as the library's partner
+pass (``_Nearest.refresh``, bitwise symmetric in the pair), so the loop's
+choice and delta must match it bit for bit. Kept self-contained so a change
+to the library cannot move it.
 """
 
 from typing import NamedTuple
