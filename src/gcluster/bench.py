@@ -27,7 +27,7 @@ from . import stats
 from .dataset import Dataset, InstanceSpec, generate, instance_name, standardize
 from .errors import DataError, SolverError
 from .kmeans import kmeans_gc
-from .stats import Partition
+from .stats import Partition, VarianceSummary
 from .vns import Starter, VnsConfig, VnsTrace, vns_gc
 from .ward import wards_gc
 
@@ -130,9 +130,10 @@ def gc_brute_force(ds: Dataset, r2t: float) -> OracleResult:
 
 @dataclass
 class AlgoOutcome:
-    """A solver run plus whatever observability it produced."""
+    """A certified solver run: ``summary`` is its one from-scratch evaluation."""
 
     partition: Partition
+    summary: VarianceSummary
     converged: bool | None = None
     trace: VnsTrace | None = None
 
@@ -144,31 +145,26 @@ def run_algorithm(ds: Dataset, algo: str, r2t: float, cfg: VnsConfig) -> AlgoOut
     R^2 is recomputed from the assignment alone and must meet ``r2t``, or
     :class:`SolverError` is raised.
     """
-    outcome = _dispatch(ds, algo, r2t, cfg)
-    fresh = Partition.from_labels(ds, outcome.partition.assignment)
-    certified = stats.evaluate(ds, fresh).r2
-    if not stats.meets_threshold(certified, r2t):
-        raise SolverError(
-            f"{algo} returned a partition whose recomputed R^2 {certified!r} "
-            f"misses the threshold {r2t}"
-        )
-    return outcome
-
-
-def _dispatch(ds: Dataset, algo: str, r2t: float, cfg: VnsConfig) -> AlgoOutcome:
+    converged = trace = None
     if algo == "wards":
-        return AlgoOutcome(wards_gc(ds, r2t))
-    if algo == "kmeans":
+        partition = wards_gc(ds, r2t)
+    elif algo == "kmeans":
         probes = []
-        part = kmeans_gc(ds, r2t, on_probe=probes.append)
+        partition = kmeans_gc(ds, r2t, on_probe=probes.append)
         accepted = [p for p in probes if p.feasible]
         converged = accepted[-1].converged if accepted else True
-        return AlgoOutcome(part, converged=converged)
-    if algo in ("vns-wards", "vns-kmeans"):
+    elif algo in ("vns-wards", "vns-kmeans"):
         starter = Starter(algo.removeprefix("vns-"))
-        part, trace = vns_gc(ds, r2t, dataclasses.replace(cfg, starter=starter))
-        return AlgoOutcome(part, trace=trace)
-    raise SolverError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
+        partition, trace = vns_gc(ds, r2t, dataclasses.replace(cfg, starter=starter))
+    else:
+        raise SolverError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
+    summary = stats.evaluate(ds, Partition.from_labels(ds, partition.assignment))
+    if not stats.meets_threshold(summary.r2, r2t):
+        raise SolverError(
+            f"{algo} returned a partition whose recomputed R^2 {summary.r2!r} "
+            f"misses the threshold {r2t}"
+        )
+    return AlgoOutcome(partition, summary, converged, trace)
 
 
 def run_suite(
@@ -196,17 +192,16 @@ def run_suite(
                         ds, algo, r2t, dataclasses.replace(cfg, seed=spec.seed)
                     )
                     elapsed = time.perf_counter() - t0
-                    summary = stats.evaluate(ds, outcome.partition)
                     row = BenchRow(
                         instance=name,
                         r2t=r2t,
                         algorithm=algo,
                         k=outcome.partition.k,
-                        r2=summary.r2,
+                        r2=outcome.summary.r2,
                         elapsed_seconds=elapsed,
                         seed=spec.seed,
                         r2_per_attribute=(
-                            tuple(float(v) for v in summary.r2_per_attribute)
+                            tuple(float(v) for v in outcome.summary.r2_per_attribute)
                             if with_attribute_r2
                             else None
                         ),

@@ -60,6 +60,7 @@ class SolveReport:
     assignment: list[int]
     seed: int | None
     standardization: dict | None
+    vns: dict | None  # no times, so seeded reports differ only in elapsed_seconds
 
 
 def _standardization_record(ds: Dataset) -> dict | None:
@@ -159,7 +160,7 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     outcome = bench.run_algorithm(ds, args.algo, args.r2t, cfg)
     elapsed = time.perf_counter() - t0
-    summary = stats.evaluate(ds, outcome.partition)
+    trace = outcome.trace
 
     report = SolveReport(
         algorithm=args.algo,
@@ -167,15 +168,20 @@ def cmd_solve(args) -> int:
         m=ds.m,
         r2t=args.r2t,
         k=outcome.partition.k,
-        r2=summary.r2,
+        r2=outcome.summary.r2,
         r2_incremental=stats.r2(ds, outcome.partition),
-        r2_per_attribute=[float(v) for v in summary.r2_per_attribute],
+        r2_per_attribute=[float(v) for v in outcome.summary.r2_per_attribute],
         elapsed_seconds=elapsed,
         converged=outcome.converged,
-        termination=outcome.trace.termination.value if outcome.trace else None,
+        termination=trace.termination.value if trace else None,
         assignment=[int(g) for g in outcome.partition.assignment],
         seed=args.seed if args.algo.startswith("vns") else None,
         standardization=_standardization_record(ds),
+        vns=None if trace is None else {
+            "iterations": trace.iterations,
+            "improvements": trace.improvements,
+            "history": [[k, r2] for _, k, r2 in trace.best_history],
+        },
     )
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -244,7 +250,7 @@ def _load_bench_config(path, cfg: VnsConfig):
             raise DataError(f"instance entry {entry!r} is not an object")
         try:
             dist = Distribution(entry["dist"])
-            spec = InstanceSpec(dist, int(entry["n"]), int(entry["m"]), int(entry["seed"]))
+            spec = InstanceSpec(dist, *(_json_int(entry[key], key) for key in ("n", "m", "seed")))
         except KeyError as exc:
             raise DataError(f"instance entry {entry!r} lacks the key {exc}") from None
         except ValueError as exc:
@@ -257,16 +263,25 @@ def _load_bench_config(path, cfg: VnsConfig):
         if not r2ts:
             raise DataError(f"instance entry {entry!r} has no r2t thresholds")
         specs.append((spec, r2ts))
-    algos = list(doc.get("algorithms", bench.ALGORITHMS))
+    algos = doc.get("algorithms", list(bench.ALGORITHMS))
+    if not isinstance(algos, list) or not all(isinstance(a, str) for a in algos):
+        raise DataError(f"algorithms must be a list of names, got {algos!r}")
     try:
         cfg = dataclasses.replace(
             cfg,
-            r_max=int(doc.get("rmax", cfg.r_max)),
+            r_max=_json_int(doc.get("rmax", cfg.r_max), "rmax"),
             time_limit_seconds=float(doc.get("time_limit", cfg.time_limit_seconds)),
         )
     except (TypeError, ValueError) as exc:
         raise DataError(f"bad rmax or time_limit in {path}: {exc}") from None
     return specs, algos, cfg
+
+
+def _json_int(value, key: str) -> int:
+    """``value`` if it is a JSON integer (``true`` and ``20.7`` are not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def main(argv=None) -> int:

@@ -163,19 +163,18 @@ def _parse_cell(cell: str) -> float | None:
     return value if np.isfinite(value) else None
 
 
-def load_csv(path, has_header: bool | None = None) -> Dataset:
+def load_csv(path) -> Dataset:
     """Read a comma-separated numeric matrix (rows = elements).
 
-    With ``has_header=None`` the first row is treated as a header iff any of
-    its cells does not parse as a finite number. Blank lines are skipped. One
-    streamed pass parses the cells; a :class:`DataError` names the first fault.
+    The first row is a header iff any of its cells does not parse as a
+    finite number. Blank lines are skipped. One streamed pass parses the
+    cells; a :class:`DataError` names the first fault.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = filter(None, csv.reader(fh))
             first = next(rows, [])
-            if has_header is None:
-                has_header = any(_parse_cell(c) is None for c in first)
+            has_header = any(_parse_cell(c) is None for c in first)
             head = next(rows, []) if has_header else first
             if not head:
                 raise DataError(f"{path}: {'no data rows' if first else 'file is empty'}")
@@ -215,11 +214,9 @@ def _first_fault(path, has_header: bool, m: int) -> str:
     return f"{path}: changed while it was read"
 
 
-def write_csv(ds: Dataset, path, header: list[str] | None = None) -> None:
+def write_csv(ds: Dataset, path) -> None:
     """Write the matrix as CSV with full round-trip decimal precision."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if header is not None:
-            writer.writerow(header)
         for row in ds.values:
             writer.writerow([repr(float(v)) for v in row])

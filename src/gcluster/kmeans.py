@@ -338,12 +338,7 @@ def pmedian_local_search(ds: Dataset, sol: MedoidSolution) -> MedoidSolution:
     return MedoidSolution(medoids, assignment, total, list(sol.candidates))
 
 
-def kmeans(
-    ds: Dataset,
-    k: int,
-    init: Partition,
-    on_iteration: Callable[[int, float], None] | None = None,
-) -> KmeansResult:
+def kmeans(ds: Dataset, k: int, init: Partition) -> KmeansResult:
     """Lloyd iterations from an initial partition with exactly k groups.
 
     Points are reassigned to the nearest centroid (Euclidean; implemented
@@ -351,10 +346,8 @@ def kmeans(
     no reassignment or the iteration cap is hit. A reassignment that would
     empty a group is repaired by reseeding the group with the element
     farthest from its own centroid, so the result always has k non-empty
-    groups.
-
-    ``on_iteration`` receives (pass number, SSE after reassignment) once per
-    pass; absent repairs the reported SSE never increases.
+    groups. No pass raises the SSE: a repair moves an element onto a group
+    of its own.
     """
     if init.k != k:
         raise ValueError(f"init partition has {init.k} groups, expected {k}")
@@ -367,8 +360,6 @@ def kmeans(
         centroids = stats.group_sums(X, labels, k) / np.bincount(labels, minlength=k)[:, None]
 
         new_labels, own_sq, _ = _nearest_two(X, centroids, squared=True)
-        if on_iteration is not None:
-            on_iteration(iterations, float(own_sq.sum()))
         new_sizes = np.bincount(new_labels, minlength=k)
         for q in np.flatnonzero(new_sizes == 0):
             movable = own_sq.copy()

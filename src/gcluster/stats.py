@@ -129,10 +129,6 @@ class Partition:
     def k(self) -> int:
         return len(self.sizes)
 
-    @property
-    def n(self) -> int:
-        return len(self.assignment)
-
     def copy(self) -> "Partition":
         return Partition(
             self.assignment.copy(),
@@ -197,11 +193,13 @@ def group_sums(values: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return np.stack([np.bincount(labels, col, k) for col in values.T], axis=1)
 
 
+def _ssb_per_attribute(ds: Dataset, sizes: np.ndarray, cent: np.ndarray) -> np.ndarray:
+    """From-scratch SSB of each attribute, from group sizes and centroids."""
+    return ((cent - sst(ds).column_means) ** 2 * sizes[:, None]).sum(axis=0)
+
+
 def _ssb_scratch(ds: Dataset, sizes: np.ndarray, sums: np.ndarray) -> float:
-    means = sst(ds).column_means
-    cent = sums / sizes[:, None]
-    per_j = ((cent - means) ** 2 * sizes[:, None]).sum(axis=0)
-    return float(per_j.sum())
+    return float(_ssb_per_attribute(ds, sizes, sums / sizes[:, None]).sum())
 
 
 def r2(ds: Dataset, p: Partition) -> float:
@@ -218,8 +216,9 @@ def evaluate(ds: Dataset, p: Partition) -> VarianceSummary:
     """
     s = sst(ds)
     cent = p.sums / p.sizes[:, None]
-    ssb_j = ((cent - s.column_means) ** 2 * p.sizes[:, None]).sum(axis=0)
-    ssw_j = ((ds.values - cent[p.assignment]) ** 2).sum(axis=0)
+    ssb_j = _ssb_per_attribute(ds, p.sizes, cent)
+    resid = cent[p.assignment]  # the one n x m temporary, squared in place
+    ssw_j = np.square(np.subtract(ds.values, resid, out=resid), out=resid).sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         r2_j = np.where(s.degenerate_attributes, 0.0, ssb_j / s.per_attribute)
     return VarianceSummary(

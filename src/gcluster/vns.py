@@ -53,8 +53,8 @@ class VnsConfig:
     def __post_init__(self):
         if self.r_max < 1:
             raise ValueError(f"r_max must be >= 1, got {self.r_max}")
-        if self.time_limit_seconds <= 0:
-            raise ValueError("time_limit_seconds must be positive")
+        if not self.time_limit_seconds > 0:  # NaN too
+            raise ValueError(f"time_limit_seconds must be positive, got {self.time_limit_seconds}")
 
 
 @dataclass

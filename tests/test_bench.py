@@ -19,6 +19,7 @@ from gcluster import (
     run_suite,
     set_partitions,
     standardize,
+    stats,
 )
 from gcluster.dataset import Distribution, InstanceSpec
 
@@ -110,6 +111,20 @@ def test_run_suite_attaches_per_attribute_ratios():
 
     again = evaluate(ds, wards_gc(ds, 0.6))
     assert np.allclose(row.r2_per_attribute, again.r2_per_attribute, atol=1e-12)
+
+
+def test_run_suite_evaluates_each_row_once(monkeypatch):
+    calls = []
+    real = stats.evaluate
+
+    def counted(ds, p):
+        calls.append(p.k)
+        return real(ds, p)
+
+    monkeypatch.setattr(stats, "evaluate", counted)
+    rows = run_suite(tiny_suite(), ["wards", "vns-wards"], VnsConfig(r_max=5), with_attribute_r2=True)
+    assert len(rows) == 4 and all(row.error is None for row in rows)
+    assert calls == [row.k for row in rows]
 
 
 def test_run_suite_reports_row_errors_and_continues(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 
 import gcluster.bench as bench_mod
 from gcluster import stats
-from gcluster import Dataset, Partition, evaluate, load_csv
+from gcluster import Dataset, Partition, evaluate, kmeans_gc, load_csv, standardize, wards_gc
 from gcluster.cli import main
 
 
@@ -66,6 +66,7 @@ def test_solve_wards_writes_feasible_report(tmp_path, capsys):
     assert len(report["r2_per_attribute"]) == 3
     assert report["standardization"]["applied"] is True
     assert report["standardization"]["denominator"] == "n-1"
+    assert report["vns"] is None
 
 
 def test_report_is_self_contained(tmp_path):
@@ -135,6 +136,60 @@ def test_report_records_both_r2_values(tmp_path):
     assert math.isclose(report["r2_incremental"], report["r2"], rel_tol=stats.REL_TOL)
 
 
+@pytest.mark.parametrize("algo", ["wards", "kmeans", "vns-wards", "vns-kmeans"])
+def test_solve_evaluates_once_and_reports_the_certificate(tmp_path, monkeypatch, algo):
+    calls = []
+
+    def counted(ds, p):
+        calls.append(p.k)
+        return evaluate(ds, p)
+
+    monkeypatch.setattr(stats, "evaluate", counted)
+    path = gen_instance(tmp_path, n=40, m=2, seed=6)
+    report_path = tmp_path / "r.json"
+    assert run_cli(
+        "solve", "--algo", algo, "--r2t", "0.7", "--input", str(path),
+        "--standardize", "--rmax", "5", "--report", str(report_path),
+    ) == 0
+    assert len(calls) == 1
+    report = json.loads(report_path.read_text())
+    ds = standardize(load_csv(path))
+    fresh = evaluate(ds, Partition.from_labels(ds, report["assignment"]))
+    assert report["r2"] == fresh.r2  # bit for bit, from the assignment alone
+    assert report["r2_per_attribute"] == fresh.r2_per_attribute.tolist()
+
+
+@pytest.mark.parametrize("starter", ["wards", "kmeans"])
+def test_report_records_vns_history(tmp_path, starter):
+    path = gen_instance(tmp_path, n=60, m=2, seed=4)
+    report_path = tmp_path / "r.json"
+    assert run_cli(
+        "solve", "--algo", f"vns-{starter}", "--r2t", "0.7", "--input", str(path),
+        "--standardize", "--seed", "3", "--report", str(report_path),
+    ) == 0
+    report = json.loads(report_path.read_text())
+    record = report["vns"]
+    ds = standardize(load_csv(path))
+    first = wards_gc(ds, 0.7) if starter == "wards" else kmeans_gc(ds, 0.7)
+    ks = [k for k, _ in record["history"]]
+    assert ks[0] == first.k
+    assert all(a >= b for a, b in zip(ks, ks[1:]))
+    assert ks[-1] == report["k"]
+    assert len(record["history"]) == record["improvements"] + 1
+    assert record["iterations"] >= record["improvements"]
+    assert all(r2v >= 0.7 - 1e-12 for _, r2v in record["history"])
+
+
+def test_solve_nan_time_limit_is_usage_error(tmp_path):
+    # NaN once passed the positivity check and ran with no limit
+    path = gen_instance(tmp_path, n=20, m=2, seed=1)
+    code = run_cli(
+        "solve", "--algo", "vns-wards", "--r2t", "0.6", "--input", str(path),
+        "--time-limit", "nan",
+    )
+    assert code == 2
+
+
 def test_solve_degenerate_data_is_data_error(tmp_path):
     path = tmp_path / "flat.csv"
     path.write_text("1,2\n1,2\n1,2\n")
@@ -190,6 +245,23 @@ def test_bench_config_run(tmp_path, capsys):
     assert "N-14-2" in printed and "wrote 2 rows" in printed
     lines = out_csv.read_text().strip().splitlines()
     assert len(lines) == 3
+
+
+def test_bench_preset_runs_every_algorithm(tmp_path, capsys):
+    out_csv = tmp_path / "rows.csv"
+    code = run_cli(
+        "bench", "--preset", "table2-small", "--seeds", "1", "--rmax", "1",
+        "--out", str(out_csv),
+    )
+    assert code == 0
+    assert "wrote 36 rows" in capsys.readouterr().out
+    assert len(out_csv.read_text().strip().splitlines()) == 1 + 36
+
+
+def test_bench_preset_needs_a_seed(tmp_path):
+    out_csv = tmp_path / "rows.csv"
+    assert run_cli("bench", "--preset", "table2-small", "--seeds", "0", "--out", str(out_csv)) == 2
+    assert not out_csv.exists()
 
 
 def test_bench_requires_exactly_one_suite_source(tmp_path):
@@ -252,9 +324,20 @@ def test_bench_failed_rows_exit_4_after_writing(tmp_path, capsys):
         json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": 1}], "r2t": [0.6], "rmax": "ten"}),
         json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": 1}], "r2t": [0.6], "time_limit": "1h"}),
         json.dumps([{"dist": "normal", "n": 12, "m": 2, "seed": 1}]),
+        # these once ran after a silent coercion and exited 0
+        json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": 1}], "r2t": [0.6], "time_limit": math.nan}),
+        json.dumps({"instances": [{"dist": "normal", "n": 20.7, "m": 2, "seed": 1}], "r2t": [0.6]}),
+        json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2.0, "seed": 1}], "r2t": [0.6]}),
+        json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": True}], "r2t": [0.6]}),
+        json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": "1"}], "r2t": [0.6]}),
+        json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": 1}], "r2t": [0.6], "rmax": 1.5}),
+        json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": 1}], "r2t": [0.6], "algorithms": "wards"}),
+        json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": 1}], "r2t": [0.6], "algorithms": ["wards", 1]}),
     ],
     ids=["no-thresholds", "bad-json", "r2t-word", "r2t-scalar", "r2t-out-of-range",
-         "rmax-word", "time-limit-word", "not-an-object"],
+         "rmax-word", "time-limit-word", "not-an-object", "time-limit-nan", "n-float",
+         "m-float", "seed-bool", "seed-string", "rmax-float", "algorithms-string",
+         "algorithms-non-string"],
 )
 def test_bench_config_is_checked_before_solving(tmp_path, capsys, text):
     config = tmp_path / "suite.json"

@@ -39,14 +39,6 @@ def test_load_header_autodetect(tmp_path):
     assert (ds.n, ds.m) == (2, 3)
 
 
-def test_load_explicit_header_flag(tmp_path):
-    path = tmp_path / "b.csv"
-    path.write_text("1,2\n3,4\n5,6\n")
-    ds = load_csv(path, has_header=True)
-    assert ds.n == 2
-    assert ds.values[0].tolist() == [3.0, 4.0]
-
-
 def test_load_ragged_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2\n1,2,3\n")

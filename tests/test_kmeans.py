@@ -126,8 +126,11 @@ def test_kmeans_sse_non_increasing(ds, k):
     if k >= ds.n:
         return
     init = Partition.from_labels(ds, np.arange(ds.n) % k)
-    seen = []
-    kmeans(ds, k, init, on_iteration=lambda it, sse: seen.append(sse))
+    seen = [evaluate(ds, init).ssw]
+    with pytest.MonkeyPatch.context() as mp:
+        for cap in range(1, 8):  # the partition after each of the first 7 passes
+            mp.setattr(kmeans_module, "MAX_LLOYD_ITERATIONS", cap)
+            seen.append(evaluate(ds, kmeans(ds, k, init).partition).ssw)
     assert all(a >= b - 1e-9 for a, b in zip(seen, seen[1:]))
 
 

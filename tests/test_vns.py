@@ -212,6 +212,8 @@ def test_vns_config_validation():
         VnsConfig(r_max=0)
     with pytest.raises(ValueError):
         VnsConfig(time_limit_seconds=0)
+    with pytest.raises(ValueError):  # NaN once meant no limit
+        VnsConfig(time_limit_seconds=math.nan)
 
 
 @settings(max_examples=10, deadline=None)

@@ -237,3 +237,25 @@ def test_warm_rebuild_matches_cold_rebuild(ds, seed, r2t, messy):
         for name in ("assignment", "sizes", "sums"):
             assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()
         assert float(warm.ssb).hex() == float(cold.ssb).hex()
+
+
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_one_row_blocks_match_default_blocks(monkeypatch, duplicates):
+    # With one row per block the cold search ends on a block that holds only
+    # the top slot, which has no partner above it.
+    ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 60, 3, 5)))
+    if duplicates:
+        ds = Dataset(np.repeat(np.round(ds.values[:20], 1), 3, axis=0))
+    wards = wards_gc(ds, 0.7)
+    starts = (Partition.singletons(ds), wards)
+    default = [ward.nearest_partners(ds, p) for p in starts]
+
+    monkeypatch.setattr(ward, "_BLOCK_CELLS", 1)
+    again = wards_gc(ds, 0.7)
+    assert again.assignment.tobytes() == wards.assignment.tobytes()
+    assert float(again.ssb).hex() == float(wards.ssb).hex()
+    for p, before in zip(starts, default):
+        after = ward.nearest_partners(ds, p)
+        assert after.nd.tobytes() == before.nd.tobytes()
+        # the top slot's nn is unused; only its inf drop is defined
+        assert after.nn[:-1].tobytes() == before.nn[:-1].tobytes()
