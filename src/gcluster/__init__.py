@@ -2,8 +2,9 @@
 
 Given an n x m data matrix and a target ratio of between-group to total
 variance, the solvers return a partition with as few groups as they can
-manage whose R^2 meets the target: a greedy agglomeration, a bisection over
-k-means, and a variable neighborhood search wrapped around either.
+manage whose R^2 meets the target: a greedy agglomeration, a search over
+the k of k-means (k = 2, 4, 8, ... until feasible, then bisection), and a
+variable neighborhood search wrapped around either.
 """
 
 from .bench import (

@@ -26,7 +26,7 @@ import numpy as np
 from . import stats
 from .dataset import Dataset, InstanceSpec, generate, instance_name, standardize
 from .errors import DataError, SolverError
-from .kmeans import kmeans_gc
+from .kmeans import BisectionProbe, kmeans_gc
 from .stats import Partition, VarianceSummary
 from .vns import Starter, VnsConfig, VnsTrace, vns_gc
 from .ward import wards_gc
@@ -130,12 +130,14 @@ def gc_brute_force(ds: Dataset, r2t: float) -> OracleResult:
 
 @dataclass
 class AlgoOutcome:
-    """A certified solver run: ``summary`` is its one from-scratch evaluation."""
+    """A certified solver run: ``summary`` is its one from-scratch evaluation.
+    ``probes`` is the k-means search's probe sequence (``kmeans`` only)."""
 
     partition: Partition
     summary: VarianceSummary
     converged: bool | None = None
     trace: VnsTrace | None = None
+    probes: list[BisectionProbe] | None = None
 
 
 def run_algorithm(ds: Dataset, algo: str, r2t: float, cfg: VnsConfig) -> AlgoOutcome:
@@ -145,7 +147,7 @@ def run_algorithm(ds: Dataset, algo: str, r2t: float, cfg: VnsConfig) -> AlgoOut
     R^2 is recomputed from the assignment alone and must meet ``r2t``, or
     :class:`SolverError` is raised.
     """
-    converged = trace = None
+    converged = trace = probes = None
     if algo == "wards":
         partition = wards_gc(ds, r2t)
     elif algo == "kmeans":
@@ -164,7 +166,7 @@ def run_algorithm(ds: Dataset, algo: str, r2t: float, cfg: VnsConfig) -> AlgoOut
             f"{algo} returned a partition whose recomputed R^2 {summary.r2!r} "
             f"misses the threshold {r2t}"
         )
-    return AlgoOutcome(partition, summary, converged, trace)
+    return AlgoOutcome(partition, summary, converged, trace, probes)
 
 
 def run_suite(

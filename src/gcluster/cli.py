@@ -60,7 +60,9 @@ class SolveReport:
     assignment: list[int]
     seed: int | None
     standardization: dict | None
-    vns: dict | None  # no times, so seeded reports differ only in elapsed_seconds
+    # no times in these two, so seeded reports differ only in elapsed_seconds
+    vns: dict | None
+    kmeans: dict | None
 
 
 def _standardization_record(ds: Dataset) -> dict | None:
@@ -182,6 +184,9 @@ def cmd_solve(args) -> int:
             "improvements": trace.improvements,
             "history": [[k, r2] for _, k, r2 in trace.best_history],
         },
+        kmeans=None if outcome.probes is None else {
+            "probes": [[p.k, float(p.r2), bool(p.feasible)] for p in outcome.probes],
+        },
     )
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -257,8 +262,8 @@ def _load_bench_config(path, cfg: VnsConfig):
             raise DataError(f"bad instance entry {entry!r}: {exc}") from None
         raw = entry.get("r2t", doc.get("r2t", []))
         try:
-            r2ts = tuple(stats.check_threshold(float(v)) for v in raw)
-        except (TypeError, ValueError, SolverError) as exc:
+            r2ts = tuple(stats.check_threshold(_json_number(v, "r2t")) for v in raw)
+        except (TypeError, DataError, SolverError) as exc:
             raise DataError(f"bad r2t {raw!r} for instance {entry!r}: {exc}") from None
         if not r2ts:
             raise DataError(f"instance entry {entry!r} has no r2t thresholds")
@@ -270,9 +275,11 @@ def _load_bench_config(path, cfg: VnsConfig):
         cfg = dataclasses.replace(
             cfg,
             r_max=_json_int(doc.get("rmax", cfg.r_max), "rmax"),
-            time_limit_seconds=float(doc.get("time_limit", cfg.time_limit_seconds)),
+            time_limit_seconds=_json_number(
+                doc.get("time_limit", cfg.time_limit_seconds), "time_limit"
+            ),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(f"bad rmax or time_limit in {path}: {exc}") from None
     return specs, algos, cfg
 
@@ -282,6 +289,16 @@ def _json_int(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DataError(f"{key} must be an integer, got {value!r}")
     return value
+
+
+def _json_number(value, key: str) -> float:
+    """``value`` as a float if it is a JSON number (``true`` and ``"5"`` are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DataError(f"{key} is out of range, got {value!r}") from None
 
 
 def main(argv=None) -> int:

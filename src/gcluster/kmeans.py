@@ -1,23 +1,28 @@
-"""k-means with a medoid-based warm start, and a bisection driver over k.
+"""k-means with a medoid-based warm start, and a search driver over k.
 
 The initial partition for Lloyd's iterations comes from a two-stage medoid
 construction (greedy opening plus a swap local search, both on plain
-Euclidean distance sums). The driver then bisects on the number of groups,
-probing each midpoint with the full pipeline, to find the smallest k whose
-probe meets the R^2 threshold.
+Euclidean distance sums). The driver looks for the smallest k whose probe
+with the full pipeline meets the R^2 threshold: it probes k = 2, 4, 8, ...
+until one is feasible, then bisects between the last infeasible and the
+first feasible k (unbounded search, Bentley & Yao 1976). The thresholds
+GC targets give small k, so this skips the costly probes near n/2 that a
+bisection over 1..n opens with.
 
 Both medoid stages do work in proportion to what changed, and decide
 exactly as the plain loops would. The greedy opening order does not depend
-on the number of medoids p, so one bisection builds it once and every
-probe takes the prefix it needs; each prefix is exact because every opening
-is confirmed with exact costs that break ties by lowest index, as a loop
-stopping at p would. The opening keeps a running opening cost per element
-and, after each opening, subtracts the change on the rows that moved
-closer. The swap search costs a candidate against every medoid position
-in one ``bincount`` pass (the fast swap of Resende & Werneck 2003;
-FastPAM, Schubert & Rousseeuw, arXiv:1810.05691), and after a swap
-reassigns only the rows whose nearest or second-nearest medoid may have
-left. The fast sums round differently from the plain ones, so they
+on the number of medoids p, so one search builds it once and every probe
+takes the prefix it needs; each prefix is exact because every opening is
+confirmed with exact costs that break ties by lowest index, as a loop
+stopping at p would. A probe's result therefore depends on its k alone,
+not on which probes came before it: any driver that stops at the same k
+returns the same partition, bit for bit. The opening keeps a running
+opening cost per element and, after each opening, subtracts the change on
+the rows that moved closer. The swap search costs a candidate against
+every medoid position in one ``bincount`` pass (the fast swap of Resende &
+Werneck 2003; FastPAM, Schubert & Rousseeuw, arXiv:1810.05691), and after
+a swap reassigns only the rows whose nearest or second-nearest medoid may
+have left. The fast sums round differently from the plain ones, so they
 only screen: whatever they place within 1e-9 (relative) of the best is
 re-costed with the plain sum, and the plain rule picks among those.
 
@@ -64,7 +69,7 @@ class KmeansResult:
 
 @dataclass(frozen=True)
 class BisectionProbe:
-    """One midpoint probe of the bisection driver (for observability)."""
+    """One probe of the search over k in :func:`kmeans_gc` (for observability)."""
 
     k: int
     r2: float
@@ -272,7 +277,7 @@ def pmedian_greedy(ds: Dataset, p: int) -> MedoidSolution:
     runners-up of the final iteration as swap candidates.
 
     This is one prefix of the shared opening sequence (see
-    :class:`_GreedyOpening`): the bisection in :func:`kmeans_gc` builds the
+    :class:`_GreedyOpening`): the search in :func:`kmeans_gc` builds the
     sequence once and takes every probe's prefix from it. A prefix is exact
     because each opening is confirmed with exact costs whose bits match a
     full pass, and the lowest index among the exact minima opens whatever p
@@ -388,13 +393,17 @@ def kmeans_gc(
     r2t: float,
     on_probe: Callable[[BisectionProbe], None] | None = None,
 ) -> Partition:
-    """Smallest feasible k by bisection over the number of groups.
+    """Smallest feasible k by an exponential bracket, then bisection.
 
     Maintains R^2(low) < r2t <= R^2(high) with the endpoints seeded
-    analytically (one group has R^2 = 0, all singletons R^2 = 1) and probes
-    each midpoint with the medoid-seeded k-means pipeline. Every probe takes
-    its greedy opening from one shared sequence. Returns the partition
-    stored at the feasible endpoint.
+    analytically (one group has R^2 = 0, all singletons R^2 = 1). Until a
+    probe is feasible it probes k = min(2 * low, high - 1), so k = 2, 4,
+    8, ...; after that it probes each midpoint. Each probe runs the
+    medoid-seeded k-means pipeline and takes its greedy opening from one
+    shared sequence, so a probe's partition depends only on its k: where
+    this search and a plain bisection over 1..n stop at the same k, they
+    return the same partition, bit for bit. Returns the partition stored
+    at the feasible endpoint.
     """
     stats.check_threshold(r2t)
     total = stats.sst(ds).total
@@ -402,7 +411,8 @@ def kmeans_gc(
     best = Partition.singletons(ds)
     opening = _GreedyOpening(ds)
     while b - a >= 2:
-        c = (a + b) // 2
+        # b stays n until a probe is feasible: double until then, then bisect
+        c = min(2 * a, b - 1) if b == ds.n else (a + b) // 2
         result = _probe(ds, c, opening)
         r2c = result.partition.ssb / total
         feasible = stats.meets_threshold(r2c, r2t)

@@ -67,6 +67,7 @@ def test_solve_wards_writes_feasible_report(tmp_path, capsys):
     assert report["standardization"]["applied"] is True
     assert report["standardization"]["denominator"] == "n-1"
     assert report["vns"] is None
+    assert report["kmeans"] is None
 
 
 def test_report_is_self_contained(tmp_path):
@@ -178,6 +179,30 @@ def test_report_records_vns_history(tmp_path, starter):
     assert len(record["history"]) == record["improvements"] + 1
     assert record["iterations"] >= record["improvements"]
     assert all(r2v >= 0.7 - 1e-12 for _, r2v in record["history"])
+    assert report["kmeans"] is None  # only --algo kmeans records its probes
+
+
+def test_report_records_kmeans_probes(tmp_path):
+    path = gen_instance(tmp_path, n=100, m=3, seed=7)
+    report_path = tmp_path / "r.json"
+    assert run_cli(
+        "solve", "--algo", "kmeans", "--r2t", "0.6", "--input", str(path),
+        "--standardize", "--report", str(report_path),
+    ) == 0
+    report = json.loads(report_path.read_text())
+    probes = report["kmeans"]["probes"]
+    assert all(len(probe) == 3 for probe in probes)  # [k, r2, feasible], no times
+    # k doubles from 2 until a probe is feasible, then bisects the bracket
+    a, b, expected = 1, report["n"], []
+    for _, _, feasible in probes:
+        c = min(2 * a, b - 1) if b == report["n"] else (a + b) // 2
+        expected.append(c)
+        a, b = (a, c) if feasible else (c, b)
+    assert [k for k, _, _ in probes] == expected and b - a == 1
+    assert [k for k, _, _ in probes][:2] == [2, 4]
+    assert any(not feasible for _, _, feasible in probes[2:])  # it did bisect
+    assert all(feasible == (r2v >= 0.6 - 1e-12) for _, r2v, feasible in probes)
+    assert [k for k, _, feasible in probes if feasible][-1] == report["k"]
 
 
 def test_solve_nan_time_limit_is_usage_error(tmp_path):
@@ -333,11 +358,17 @@ def test_bench_failed_rows_exit_4_after_writing(tmp_path, capsys):
         json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": 1}], "r2t": [0.6], "rmax": 1.5}),
         json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": 1}], "r2t": [0.6], "algorithms": "wards"}),
         json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": 1}], "r2t": [0.6], "algorithms": ["wards", 1]}),
+        # these once ran after float() read a string or a bool, and exited 0
+        json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": 1}], "r2t": ["0.6"]}),
+        json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": 1}], "r2t": [0.6], "time_limit": "5"}),
+        json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": 1}], "r2t": [0.6], "time_limit": True}),
+        json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": 1}], "r2t": [0.6], "time_limit": 10**400}),
     ],
     ids=["no-thresholds", "bad-json", "r2t-word", "r2t-scalar", "r2t-out-of-range",
          "rmax-word", "time-limit-word", "not-an-object", "time-limit-nan", "n-float",
          "m-float", "seed-bool", "seed-string", "rmax-float", "algorithms-string",
-         "algorithms-non-string"],
+         "algorithms-non-string", "r2t-string", "time-limit-string", "time-limit-bool",
+         "time-limit-huge"],
 )
 def test_bench_config_is_checked_before_solving(tmp_path, capsys, text):
     config = tmp_path / "suite.json"

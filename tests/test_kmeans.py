@@ -18,6 +18,7 @@ from gcluster import (
     kmeans_gc,
     pmedian_greedy,
     pmedian_local_search,
+    preset_specs,
     r2,
     sst,
     standardize,
@@ -274,15 +275,22 @@ def test_swap_update_equals_full_recompute(ds, seed):
         assert np.array_equal(a, b)
 
 
-# One greedy opening sequence serves every bisection probe.
+# One greedy opening sequence serves every probe of the search over k.
 
 
-def bisection_ks(n, first_feasible):
-    """The k a bisection over 1..n probes, in order, when exactly the
-    k >= first_feasible are feasible: down from n//2, then back up."""
+def next_k(a, b, n):
+    """The search's next probe between an infeasible a and a feasible b:
+    k doubles from 2 while no probe was feasible (b is still n), then the
+    bracket is bisected."""
+    return min(2 * a, b - 1) if b == n else (a + b) // 2
+
+
+def search_ks(n, first_feasible):
+    """The k the search over 1..n probes, in order, when exactly the
+    k >= first_feasible are feasible: up by doubling, then bisecting."""
     a, b, ks = 1, n, []
     while b - a >= 2:
-        c = (a + b) // 2
+        c = next_k(a, b, n)
         ks.append(c)
         a, b = (a, c) if c >= first_feasible else (c, b)
     return ks
@@ -299,7 +307,7 @@ def test_shared_opening_answers_bisection_order_like_scan(ds, first_feasible, bu
         if budget is not None:
             mp.setattr(kmeans_module, "_BLOCK_BUDGET", budget)
         opening = kmeans_module._GreedyOpening(ds)
-        for p in bisection_ks(ds.n, first_feasible) + [ds.n, 1]:
+        for p in search_ks(ds.n, first_feasible) + [ds.n, 1]:
             assert_same_solution(opening.solution(p), pmedian_greedy_scan(ds, p))
 
 
@@ -308,7 +316,7 @@ def reference_probes(ds, r2t):
     total = sst(ds).total
     a, b, probes = 1, ds.n, []
     while b - a >= 2:
-        c = (a + b) // 2
+        c = next_k(a, b, ds.n)
         sol = pmedian_local_search_scan(ds, pmedian_greedy_scan(ds, c))
         res = kmeans(ds, c, Partition.from_labels(ds, sol.assignment))
         r2c = res.partition.ssb / total
@@ -336,3 +344,46 @@ def test_kmeans_gc_probes_match_scan_pipeline_on_continuous_data():
         kmeans_gc(ds, 0.6, on_probe=seen.append)
         got = [(probe.k, probe.r2, probe.converged) for probe in seen]
         assert got == reference_probes(ds, 0.6)
+
+
+def test_kmeans_gc_probe_order_is_pinned():
+    # the benchmark's kmeans-bisect instance; a bisection over 1..400 made
+    # nine probes here: 200, 100, 50, 25, 13, 7, 4, 5, 6
+    ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 400, 3, 1)))
+    probes = []
+    p = kmeans_gc(ds, 0.6, on_probe=probes.append)
+    assert [probe.k for probe in probes] == [2, 4, 8, 6, 5]
+    assert [probe.feasible for probe in probes] == [False, False, True, True, False]
+    assert p.k == 6
+
+
+def plain_bisection(ds, r2t):
+    """The driver the bracket replaced: bisect 1..n from n//2, each probe
+    a prefix of one shared opening sequence."""
+    total = sst(ds).total
+    a, b, best = 1, ds.n, Partition.singletons(ds)
+    opening = kmeans_module._GreedyOpening(ds)
+    while b - a >= 2:
+        c = (a + b) // 2
+        part = kmeans_module._probe(ds, c, opening).partition
+        if part.ssb / total >= r2t - 1e-12:
+            b, best = c, part
+        else:
+            a = c
+    return best
+
+
+TABLE2_CELLS = preset_specs("table2-small", [1, 2])
+
+
+@pytest.mark.parametrize(
+    "spec,r2ts", TABLE2_CELLS, ids=[f"m{s.m}-seed{s.seed}" for s, _ in TABLE2_CELLS]
+)
+def test_bracket_returns_plain_bisection_partition(spec, r2ts):
+    # a probe's partition depends on its k alone, so where both drivers stop
+    # at the same k they return the same labels; on these cells they do
+    ds = standardize(generate(spec))
+    for r2t in r2ts:
+        got, ref = kmeans_gc(ds, r2t), plain_bisection(ds, r2t)
+        assert got.k == ref.k
+        assert got.assignment.tobytes() == ref.assignment.tobytes()
