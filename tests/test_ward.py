@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -189,14 +190,15 @@ def test_warm_start_from_shaken_partition_matches_scan(ds, seed, r2t):
     assert steps and out.k <= shaken.k
 
 
-def _recorded_rebuild(ds, start, r2t, **warm):
+def _recorded(run):
+    """Run ``run(on_step)``; return every step's (a, b, delta bits, applied,
+    sizes bytes, updates) and the result."""
     steps = []
 
     def record(p, a, b, delta, applied):
-        steps.append((a, b, float(delta).hex(), applied))
+        steps.append((a, b, float(delta).hex(), applied, p.sizes.tobytes(), p.updates))
 
-    out = wards_gc_from(ds, start, r2t, on_step=record, **warm)
-    return steps, out
+    return steps, run(record)
 
 
 @settings(max_examples=80, deadline=None)
@@ -231,8 +233,10 @@ def test_warm_rebuild_matches_cold_rebuild(ds, seed, r2t, messy):
         assert resumed.nd.tobytes() == fresh.nd.tobytes()
         assert resumed.nn[:-1].tobytes() == fresh.nn[:-1].tobytes()
 
-        cold_steps, cold = _recorded_rebuild(ds, shaken, r2t)
-        warm_steps, warm = _recorded_rebuild(ds, shaken, r2t, _warm=partners)
+        cold_steps, cold = _recorded(lambda cb: wards_gc_from(ds, shaken, r2t, cb))
+        warm_steps, warm = _recorded(
+            lambda cb: wards_gc_from(ds, shaken, r2t, cb, _warm=partners)
+        )
         assert warm_steps == cold_steps
         for name in ("assignment", "sizes", "sums"):
             assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()
@@ -259,3 +263,149 @@ def test_one_row_blocks_match_default_blocks(monkeypatch, duplicates):
         assert after.nd.tobytes() == before.nd.tobytes()
         # the top slot's nn is unused; only its inf drop is defined
         assert after.nn[:-1].tobytes() == before.nn[:-1].tobytes()
+
+
+# Cold starts: the nearest-neighbour chain, its screen, and the fallback loop.
+
+
+def test_replay_screen_passes_distinct_heights_above_their_children():
+    # merges 0 and 1 join singletons; merge 2 joins the groups they formed
+    pairs = np.array([[0, 1], [2, 3], [4, 5]])
+    assert ward._replayable(np.array([1.0, 2.0, 3.0]), pairs)
+    assert ward._replayable(np.array([2.0, 1.0, 3.0]), pairs)  # chain order is free
+    assert ward._replayable(np.array([0.0, 0.5]), np.array([[0, 1], [2, 3]]))
+
+
+def test_replay_screen_rejects_an_exact_tie():
+    pairs = np.array([[0, 1], [2, 3], [4, 5]])
+    assert not ward._replayable(np.array([1.0, 1.0, 3.0]), pairs)
+    assert not ward._replayable(np.array([1.0, 3.0, 3.0]), pairs)
+
+
+@pytest.mark.parametrize("pairs", [[[0, 1], [3, 2]], [[0, 1], [2, 3]]])
+def test_replay_screen_rejects_a_merge_below_its_child(pairs):
+    # merge 1 joins the group merge 0 formed (id 3) with singleton 2, lower
+    assert not ward._replayable(np.array([2.0, 1.0]), np.array(pairs))
+
+
+def _assert_same_run(ds, r2t):
+    """wards_gc and the partner-array loop agree bit for bit: every on_step
+    call and the returned partition. Returns the loop's steps."""
+    cold_steps, cold = _recorded(lambda cb: wards_gc(ds, r2t, cb))
+    loop_steps, loop = _recorded(
+        lambda cb: ward._agglomerate(ds, Partition.singletons(ds), r2t, cb)
+    )
+    assert cold_steps == loop_steps
+    for name in ("assignment", "sizes", "sums"):
+        assert getattr(cold, name).tobytes() == getattr(loop, name).tobytes()
+    assert float(cold.ssb).hex() == float(loop.ssb).hex()
+    assert cold.updates == loop.updates
+    return loop_steps
+
+
+@contextlib.contextmanager
+def _counted_loop():
+    """Count the calls of the partner-array loop, which a cold start makes
+    only when it falls back; yields the list the calls are appended to."""
+    calls = []
+    loop = ward._agglomerate
+
+    def spy(*args, **kwargs):
+        calls.append(args[1].k)
+        return loop(*args, **kwargs)
+
+    ward._agglomerate = spy
+    try:
+        yield calls
+    finally:
+        ward._agglomerate = loop
+
+
+@pytest.mark.parametrize(
+    "dist, n, m, seed",
+    [
+        (Distribution.NORMAL01, 2, 1, 1),
+        (Distribution.UNIFORM, 3, 4, 2),
+        (Distribution.NORMAL01, 9, 10, 3),
+        (Distribution.UNIFORM, 40, 1, 4),
+        (Distribution.NORMAL01, 120, 7, 5),
+        (Distribution.UNIFORM, 250, 2, 6),
+        (Distribution.NORMAL01, 600, 3, 7),
+    ],
+)
+def test_chain_replay_matches_loop(dist, n, m, seed):
+    ds = standardize(generate(InstanceSpec(dist, n, m, seed)))
+    first_rejected = reaches_one = False
+    for r2t in (1e-13, 0.3, 0.6, 0.8, 0.95, np.nextafter(1.0, 0.0)):
+        with _counted_loop() as fallbacks:
+            wards_gc(ds, r2t)
+        assert fallbacks == []
+        steps = _assert_same_run(ds, r2t)
+        first_rejected |= not steps[0][3]
+        reaches_one |= all(step[3] for step in steps)
+    assert reaches_one and first_rejected
+
+
+def test_chain_replay_resyncs_like_the_loop(monkeypatch):
+    monkeypatch.setattr(stats, "SSB_RESYNC_INTERVAL", 5)
+    ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 80, 3, 8)))
+    with _counted_loop() as fallbacks:
+        wards_gc(ds, 0.3)
+    assert fallbacks == []
+    steps = _assert_same_run(ds, 0.3)
+    assert len(steps) > 10 and max(step[5] for step in steps) == 4
+
+
+def test_one_row_budget_keeps_chain_rows_exact(monkeypatch):
+    # with one cell per block the chain keeps only its top row, so every
+    # step below a merge recomputes its row instead of patching it
+    ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 150, 3, 9)))
+    total = stats.sst(ds).total
+    default = ward._chain(Partition.singletons(ds), total)
+    monkeypatch.setattr(ward, "_BLOCK_CELLS", 1)
+    again = ward._chain(Partition.singletons(ds), total)
+    for before, after in zip(default, again):
+        assert before.tobytes() == after.tobytes()
+    _assert_same_run(ds, 0.6)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_integer_grids_and_duplicates_fall_back_to_the_loop(seed):
+    rng = np.random.default_rng(seed)
+    grid = Dataset(rng.integers(0, 4, size=(200, 2)).astype(np.float64))
+    duplicated = Dataset(np.repeat(rng.normal(size=(30, 3)), 2, axis=0))
+    with _counted_loop() as fallbacks:
+        for ds in (grid, duplicated):
+            wards_gc(ds, 0.6)
+    assert fallbacks == [200, 60]
+
+
+def test_tied_row_minimum_falls_back_to_the_loop():
+    # Slot 2 (value 1) is as near to slot 1 as to slot 3. The heights are
+    # distinct, so only the tie in that row tells the chain that its pick
+    # can differ from the loop's lowest-pair tie-break.
+    ds = Dataset(np.array([[10.0], [0.0], [1.0], [2.0]]))
+    assert ward._chain(Partition.singletons(ds), stats.sst(ds).total) is None
+    with _counted_loop() as fallbacks:
+        wards_gc(ds, 0.9)
+    assert fallbacks == [4]
+
+
+@settings(max_examples=60, deadline=None)
+@given(tie_heavy_dataset(), st.sampled_from([0.2, 0.5, 0.8, 0.95]))
+def test_tie_heavy_cold_starts_fall_back_when_the_loop_meets_a_tie(ds, r2t):
+    # A tie-heavy draw whose chain has no tied row, equal heights or
+    # inversion takes the chain; then no choice of the loop hung on a tie.
+    total = stats.sst(ds).total
+    tied = []
+
+    def check(p, a, b, delta, applied):
+        drops = ward._Nearest(p.sizes, p.sums, total).drops(np.arange(p.k), 0)
+        drops[np.tril_indices(p.k)] = np.inf
+        tied.append(np.count_nonzero(drops == drops.min()) > 1)
+
+    with _counted_loop() as fallbacks:
+        wards_gc(ds, r2t, on_step=check)
+    if any(tied):
+        assert fallbacks == [ds.n]
+    _assert_same_run(ds, r2t)
