@@ -100,9 +100,12 @@ class Dataset:
     def _check_standardized(self):
         keep = np.ones(self.m, dtype=bool)
         keep[list(self.degenerate_columns)] = False
-        means = self.values[:, keep].mean(axis=0)
-        sds = self.values[:, keep].std(axis=0, ddof=1)
-        if np.any(np.abs(means) > 1e-9) or np.any(np.abs(sds - 1.0) > 1e-9):
+        v, n = self.values, self.n
+        means = v.mean(axis=0)
+        # sums of squares without an n x m temporary; they give the sd only
+        # where |mean| <= 1e-9, but every other column fails the check anyway
+        sds = np.sqrt((np.einsum("ij,ij->j", v, v) - n * means**2) / (n - 1))
+        if np.any(np.abs(means[keep]) > 1e-9) or np.any(np.abs(sds[keep] - 1.0) > 1e-9):
             raise DataError("standardized flag set but columns are not z-scored")
 
     @property
@@ -137,14 +140,17 @@ def standardize(ds: Dataset) -> Dataset:
     """
     if ds.standardized:
         raise DataError("dataset is already standardized")
-    means = ds.values.mean(axis=0)
-    sds = ds.values.std(axis=0, ddof=1)
-    scale = np.maximum(np.abs(ds.values).max(axis=0), 1.0)
+    v = ds.values
+    means = v.mean(axis=0)
+    sds = v.std(axis=0, ddof=1)
+    out = np.abs(v)  # the one n x m array: |x| first, then the result
+    scale = np.maximum(out.max(axis=0), 1.0)
     degenerate = sds <= _DEGENERATE_REL_SD * scale
     if degenerate.all():
         raise DegenerateDataError("every column is constant; nothing to cluster")
     safe_sds = np.where(degenerate, 1.0, sds)
-    out = (ds.values - means) / safe_sds
+    np.subtract(v, means, out=out)
+    out /= safe_sds
     out[:, degenerate] = 0.0
     return Dataset(
         values=_Owned(out),

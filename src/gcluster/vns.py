@@ -148,8 +148,9 @@ def vns_gc(ds: Dataset, r2t: float, cfg: VnsConfig) -> tuple[Partition, VnsTrace
     trace = VnsTrace()
 
     p_star = _run_starter(ds, r2t, cfg.starter)
-    # every rebuild resumes from the incumbent's partner arrays
-    partners = ward.nearest_partners(ds, p_star)
+    # every rebuild starts from the incumbent's stored drop matrix, costed
+    # once per incumbent (8*k^2 bytes; a rebuild holds a second, larger one)
+    warm = (p_star.sizes, ward.drop_matrix(ds, p_star))
     total = stats.sst(ds).total
     best_r2 = p_star.ssb / total
     trace.best_history.append((time.perf_counter() - t0, p_star.k, best_r2))
@@ -164,7 +165,7 @@ def vns_gc(ds: Dataset, r2t: float, cfg: VnsConfig) -> tuple[Partition, VnsTrace
             trace.termination = Termination.RMAX_EXHAUSTED
             break
         shaken = shake(ds, p_star, r, rng)
-        rebuilt = ward.wards_gc_from(ds, shaken, r2t, _warm=partners)
+        rebuilt = ward.wards_gc_from(ds, shaken, r2t, _warm=warm)
         trace.iterations += 1
         rebuilt_r2 = rebuilt.ssb / total
         # An equal-k gain below the guard band is round-off between merge
@@ -172,7 +173,7 @@ def vns_gc(ds: Dataset, r2t: float, cfg: VnsConfig) -> tuple[Partition, VnsTrace
         gained = rebuilt_r2 > best_r2 + stats.THRESHOLD_EPS
         if rebuilt.k < p_star.k or (rebuilt.k == p_star.k and gained):
             p_star = rebuilt
-            partners = ward.nearest_partners(ds, p_star)
+            warm = (p_star.sizes, ward.drop_matrix(ds, p_star))
             best_r2 = rebuilt_r2
             trace.improvements += 1
             trace.best_history.append((time.perf_counter() - t0, p_star.k, best_r2))

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gcluster import (
@@ -141,6 +141,49 @@ def test_standardize_invariants(ds):
     sds = out.values[:, keep].std(axis=0, ddof=1)
     assert np.all(np.abs(means) <= 1e-9)
     assert np.all(np.abs(sds - 1.0) <= 1e-9)
+
+
+def _standardized_by_temporaries(v):
+    """The z-score with a full n x m temporary for |x| and for x - mean."""
+    means = v.mean(axis=0)
+    sds = v.std(axis=0, ddof=1)
+    scale = np.maximum(np.abs(v).max(axis=0), 1.0)
+    degenerate = sds <= 1e-12 * scale
+    out = (v - means) / np.where(degenerate, 1.0, sds)
+    out[:, degenerate] = 0.0
+    return out, means, sds, tuple(np.flatnonzero(degenerate).tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_dataset(min_n=3, max_m=4), st.integers(0, 3), st.sampled_from([-1e6, 0.0, 3e3]))
+def test_standardize_matches_the_temporaries_byte_for_byte(ds, j, offset):
+    # one column is shifted far off zero and squeezed to a spread below
+    # 1e-12 of its magnitude: the column's scale, not its sd, marks it
+    assume(ds.m > 1)  # else every column is constant
+    values = ds.values.copy()
+    j %= ds.m
+    values[:, j] = offset + values[:, j] * 1e-14 * abs(offset)
+    out = standardize(Dataset(values))
+    expect, means, sds, degenerate = _standardized_by_temporaries(values)
+    assert out.values.tobytes() == expect.tobytes()
+    assert out.column_means.tobytes() == means.tobytes()
+    assert out.column_sds.tobytes() == sds.tobytes()
+    assert out.degenerate_columns == degenerate
+
+
+def test_standardize_peak_memory_is_near_one_matrix():
+    # An n x m |x| next to the result, and the standardized check's copies
+    # of the columns, peaked at 3x the matrix's bytes.
+    ds = generate(InstanceSpec(Distribution.NORMAL01, 20_000, 5, 11))
+    tracemalloc.start()
+    try:
+        out = standardize(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.values.shape == ds.values.shape
+    matrix_bytes = ds.values.nbytes
+    assert peak < 1.5 * matrix_bytes, f"peak {peak} B for a {matrix_bytes} B matrix"
 
 
 @settings(max_examples=40, deadline=None)

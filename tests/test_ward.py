@@ -201,6 +201,23 @@ def _recorded(run):
     return steps, run(record)
 
 
+def _stored_checker(ds, source):
+    """An on_step callback asserting that ``source``'s live matrix is a fresh
+    drop_matrix of the step's partition, byte for byte, and that nn/nd are
+    its row minima (the top slot's nn is unused)."""
+    seen = []
+
+    def check(p, a, b, delta, applied):
+        fresh = ward.drop_matrix(ds, p)
+        live = source.d[: p.k, : p.k]
+        assert live.tobytes() == fresh.tobytes()
+        assert source.nd[: p.k].tobytes() == fresh.min(axis=1).tobytes()
+        assert source.nn[: p.k - 1].tobytes() == fresh.argmin(axis=1)[:-1].tobytes()
+        seen.append(applied)
+
+    return check, seen
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.one_of(tie_heavy_dataset(min_n=8, max_n=40), small_dataset(min_n=8, max_n=30)),
@@ -209,12 +226,13 @@ def _recorded(run):
     st.booleans(),
 )
 def test_warm_rebuild_matches_cold_rebuild(ds, seed, r2t, messy):
-    # VNS resumes each rebuild from the incumbent's partner arrays; every
-    # step and the result must be those of the cold rebuild, bit for bit.
+    # VNS starts each rebuild from the incumbent's stored drop matrix; after
+    # every merge the matrix must be the one a fresh drop_matrix gives, and
+    # every step and the result those of the cold rebuild, bit for bit.
     # A Ward incumbent is the vns-wards case. A random one stands in for the
     # k-means starter's, whose groups Ward would not build: there a shrunk
-    # group can be a worse partner than before, which only a recomputation
-    # of the slots that partnered it can see.
+    # group can be a worse partner than before, which only a reset of the
+    # rows that partnered it can see.
     rng = np.random.default_rng(seed)
     if messy:
         incumbent = random_partition(rng, ds)
@@ -223,24 +241,41 @@ def test_warm_rebuild_matches_cold_rebuild(ds, seed, r2t, messy):
     else:
         incumbent = wards_gc(ds, r2t)
     assume(ds.n - incumbent.k >= 1)
-    partners = ward.nearest_partners(ds, incumbent)
+    warm = (incumbent.sizes, ward.drop_matrix(ds, incumbent))
     for r in sorted({1, min(3, ds.n - incumbent.k), ds.n - incumbent.k}):
         shaken = shake(ds, incumbent, r, rng)
-        # the resumed arrays are the cold ones; the top slot has no partner
-        resumed = ward._Nearest(shaken.sizes, shaken.sums, stats.sst(ds).total)
-        resumed.resume(shaken.sizes, partners)
-        fresh = ward.nearest_partners(ds, shaken)
-        assert resumed.nd.tobytes() == fresh.nd.tobytes()
-        assert resumed.nn[:-1].tobytes() == fresh.nn[:-1].tobytes()
+        start = shaken.copy()
+        source = ward._Stored(start.sizes, start.sums, stats.sst(ds).total, warm)
+        check, seen = _stored_checker(ds, source)
+        ward._merge(ds, start, r2t, check, source)
+        assert seen
 
         cold_steps, cold = _recorded(lambda cb: wards_gc_from(ds, shaken, r2t, cb))
-        warm_steps, warm = _recorded(
-            lambda cb: wards_gc_from(ds, shaken, r2t, cb, _warm=partners)
-        )
+        warm_steps, out = _recorded(lambda cb: wards_gc_from(ds, shaken, r2t, cb, _warm=warm))
         assert warm_steps == cold_steps
         for name in ("assignment", "sizes", "sums"):
-            assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()
-        assert float(warm.ssb).hex() == float(cold.ssb).hex()
+            assert getattr(out, name).tobytes() == getattr(cold, name).tobytes()
+        assert float(out.ssb).hex() == float(cold.ssb).hex()
+
+
+def test_drop_matrix_holds_each_pairs_drop_above_the_diagonal():
+    ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 30, 3, 2)))
+    p = wards_gc(ds, 0.8)
+    d = ward.drop_matrix(ds, p)
+    upper = np.triu(np.ones((p.k, p.k), dtype=bool), 1)
+    assert np.isinf(d[~upper]).all()
+    for i, j in zip(*upper.nonzero()):
+        assert math.isclose(d[i, j], merge_delta(ds, p, i, j), rel_tol=1e-12)
+
+
+def test_warm_start_from_the_unshaken_incumbent_matches_cold_start():
+    # no slot changed, so the stored matrix is used as it is
+    ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 40, 3, 1)))
+    p = wards_gc(ds, 0.5)
+    warm = wards_gc_from(ds, p, 0.4, _warm=(p.sizes, ward.drop_matrix(ds, p)))
+    cold = wards_gc_from(ds, p, 0.4)
+    assert warm.k < p.k
+    assert warm.assignment.tobytes() == cold.assignment.tobytes()
 
 
 @pytest.mark.parametrize("duplicates", [False, True])
@@ -252,17 +287,14 @@ def test_one_row_blocks_match_default_blocks(monkeypatch, duplicates):
         ds = Dataset(np.repeat(np.round(ds.values[:20], 1), 3, axis=0))
     wards = wards_gc(ds, 0.7)
     starts = (Partition.singletons(ds), wards)
-    default = [ward.nearest_partners(ds, p) for p in starts]
+    default = [ward.drop_matrix(ds, p) for p in starts]
 
     monkeypatch.setattr(ward, "_BLOCK_CELLS", 1)
     again = wards_gc(ds, 0.7)
     assert again.assignment.tobytes() == wards.assignment.tobytes()
     assert float(again.ssb).hex() == float(wards.ssb).hex()
     for p, before in zip(starts, default):
-        after = ward.nearest_partners(ds, p)
-        assert after.nd.tobytes() == before.nd.tobytes()
-        # the top slot's nn is unused; only its inf drop is defined
-        assert after.nn[:-1].tobytes() == before.nn[:-1].tobytes()
+        assert ward.drop_matrix(ds, p).tobytes() == before.tobytes()
 
 
 # Cold starts: the nearest-neighbour chain, its screen, and the fallback loop.
