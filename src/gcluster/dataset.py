@@ -98,15 +98,9 @@ class Dataset:
             self._check_standardized()
 
     def _check_standardized(self):
-        keep = np.ones(self.m, dtype=bool)
-        keep[list(self.degenerate_columns)] = False
-        v, n = self.values, self.n
-        means = v.mean(axis=0)
-        # sums of squares without an n x m temporary; they give the sd only
-        # where |mean| <= 1e-9, but every other column fails the check anyway
-        sds = np.sqrt((np.einsum("ij,ij->j", v, v) - n * means**2) / (n - 1))
-        if np.any(np.abs(means[keep]) > 1e-9) or np.any(np.abs(sds[keep] - 1.0) > 1e-9):
-            raise DataError("standardized flag set but columns are not z-scored")
+        off = _unscored_columns(self.values, self.degenerate_columns)
+        if len(off):
+            raise DataError(f"standardized flag set but column {off[0]} is not z-scored")
 
     @property
     def n(self) -> int:
@@ -115,6 +109,19 @@ class Dataset:
     @property
     def m(self) -> int:
         return self.values.shape[1]
+
+
+def _unscored_columns(v: np.ndarray, skip) -> np.ndarray:
+    """The columns, other than ``skip``, whose mean is off 0 or whose sample
+    sd is off 1 by more than 1e-9."""
+    n = len(v)
+    means = v.mean(axis=0)
+    # sums of squares without an n x m temporary; they give the sd only
+    # where |mean| <= 1e-9, but every other column fails the check anyway
+    sds = np.sqrt((np.einsum("ij,ij->j", v, v) - n * means**2) / (n - 1))
+    off = (np.abs(means) > 1e-9) | (np.abs(sds - 1.0) > 1e-9)
+    off[list(skip)] = False
+    return np.flatnonzero(off)
 
 
 def generate(spec: InstanceSpec) -> Dataset:
@@ -136,7 +143,10 @@ def standardize(ds: Dataset) -> Dataset:
 
     Constant columns cannot be scaled; they are zeroed and reported in the
     returned dataset's ``degenerate_columns``. Raises
-    :class:`DegenerateDataError` if every column is constant.
+    :class:`DegenerateDataError` if every column is constant, and
+    :class:`DataError` naming a column whose spread is above the constant
+    guard but still too small against its magnitude for float64 to center
+    it (the z-scored mean keeps an error of about eps * |mean| / sd).
     """
     if ds.standardized:
         raise DataError("dataset is already standardized")
@@ -152,13 +162,24 @@ def standardize(ds: Dataset) -> Dataset:
     np.subtract(v, means, out=out)
     out /= safe_sds
     out[:, degenerate] = 0.0
-    return Dataset(
-        values=_Owned(out),
-        standardized=True,
-        column_means=means,
-        column_sds=sds,
-        degenerate_columns=tuple(int(j) for j in np.flatnonzero(degenerate)),
-    )
+    skip = tuple(int(j) for j in np.flatnonzero(degenerate))
+    try:
+        return Dataset(
+            values=_Owned(out),
+            standardized=True,
+            column_means=means,
+            column_sds=sds,
+            degenerate_columns=skip,
+        )
+    except DataError:
+        off = _unscored_columns(out, skip)  # which column; only on failure
+        if not len(off):
+            raise
+        j = off[0]
+        raise DataError(
+            f"column {j} cannot be z-scored in float64: its spread (sd {sds[j]:.3g})"
+            f" is too small relative to its magnitude (mean {means[j]:.6g})"
+        ) from None
 
 
 def _parse_cell(cell: str) -> float | None:

@@ -18,13 +18,16 @@ stopping at p would. A probe's result therefore depends on its k alone,
 not on which probes came before it: any driver that stops at the same k
 returns the same partition, bit for bit. The opening keeps a running
 opening cost per element and, after each opening, subtracts the change on
-the rows that moved closer. The swap search costs a candidate against
-every medoid position in one ``bincount`` pass (the fast swap of Resende &
-Werneck 2003; FastPAM, Schubert & Rousseeuw, arXiv:1810.05691), and after
-a swap reassigns only the rows whose nearest or second-nearest medoid may
-have left. The fast sums round differently from the plain ones, so they
-only screen: whatever they place within 1e-9 (relative) of the best is
-re-costed with the plain sum, and the plain rule picks among those.
+the rows that moved closer. It keeps the scores that chose each opening,
+so a probe ranks its swap candidates by costing exactly only the few
+columns those scores place near the cut, not by another pass over all n.
+The swap search costs a candidate against every medoid position in one
+``bincount`` pass (the fast swap of Resende & Werneck 2003; FastPAM,
+Schubert & Rousseeuw, arXiv:1810.05691), and after a swap reassigns only
+the rows whose nearest or second-nearest medoid may have left. The fast
+sums round differently from the plain ones, so they only screen: whatever
+they place within 1e-9 (relative) of the best is re-costed with the plain
+sum, and the plain rule picks among those.
 
 Everything here is deterministic: no randomness, ties broken by lowest index.
 Distances are evaluated in chunks so no n x n matrix is ever materialized;
@@ -209,6 +212,12 @@ class _GreedyOpening:
     ``d`` is every row's distance to its nearest medoid among all but the
     last one opened: the newest opening is folded in only when the next one
     is needed.
+
+    Each opening leaves a snapshot for :meth:`solution`: a copy of the
+    running scores that chose it, the ``tol`` then in force, and the ``d``
+    it was chosen against (kept by reference, as a fold replaces ``d``).
+    That is 2 n floats per opening; snapshots are kept while they fit in
+    ``_BLOCK_BUDGET`` floats, and later openings have none.
     """
 
     def __init__(self, ds: Dataset):
@@ -217,6 +226,8 @@ class _GreedyOpening:
         self.d = np.full(ds.n, np.inf)
         self.scores: np.ndarray | None = None  # running costs; None asks for a full pass
         self.tol = 0.0
+        # (scores, tol, d) as each opening was chosen
+        self.snapshots: list[tuple[np.ndarray, float, np.ndarray]] = []
 
     def extend(self, p: int) -> None:
         """Open medoids until ``p`` are open."""
@@ -234,6 +245,9 @@ class _GreedyOpening:
                 scores = self.scores
                 near = np.flatnonzero(scores <= scores.min() + self.tol)
                 chosen = int(near[np.argmin(_opening_costs(X, self.d, near))])
+            if 2 * n * (len(self.snapshots) + 1) <= _BLOCK_BUDGET:
+                # _fold_in updates scores in place but replaces d
+                self.snapshots.append((self.scores.copy(), self.tol, self.d))
             self.medoids.append(chosen)
 
     def _fold_in(self, opened: int) -> None:
@@ -254,18 +268,36 @@ class _GreedyOpening:
 
     def solution(self, p: int) -> MedoidSolution:
         """The greedy p-median solution: the first p openings, and as swap
-        candidates up to 2p runners-up ranked by one exact full pass of
-        opening costs over the first p - 1 medoids (the pass that opened
-        the p-th, in a loop that stops at p)."""
+        candidates the 2p runners-up in the exact order of opening costs
+        over the first p - 1 medoids (the pass that opened the p-th, in a
+        loop that stops at p), ties to the lowest index.
+
+        Only a window of columns is costed exactly. With the snapshot of
+        the p-th opening, it holds the columns outside the first p - 1
+        medoids whose running score is within ``tol`` of the (2p+1)-th
+        smallest such score. A running score is within tol / 2 of the exact
+        cost (the bound the opening's own screen rests on), so the 2p + 1
+        exactly cheapest columns, the p-th medoid among them, all lie in the
+        window, and ``_opening_costs`` gives them the bits of a full pass.
+        Without a snapshot the window is every column.
+        """
         X, n = self.X, len(self.X)
         if not 1 <= p <= n:
             raise ValueError(f"medoid count must be in 1..{n}, got {p}")
         self.extend(p)
         medoids = self.medoids[:p]
-        d = np.full(n, np.inf)
-        for j in medoids[:-1]:  # the fold extend() made, bit for bit
-            d = np.minimum(d, _column(X, j))
-        order = np.argsort(_opening_costs(X, d, np.arange(n)), kind="stable")
+        if p <= len(self.snapshots):
+            scores, tol, d = self.snapshots[p - 1]
+            window = np.delete(np.arange(n), medoids[:-1])
+            rank = min(2 * p + 1, len(window))
+            edge = np.partition(scores[window], rank - 1)[rank - 1]
+            window = window[scores[window] <= edge + tol]
+        else:
+            d = np.full(n, np.inf)
+            for j in medoids[:-1]:  # the fold extend() made, bit for bit
+                d = np.minimum(d, _column(X, j))
+            window = np.arange(n)
+        order = window[np.argsort(_opening_costs(X, d, window), kind="stable")]
         taken = set(medoids)
         candidates = [int(i) for i in order if int(i) not in taken][: 2 * p]
         assignment, total = _assign_to_medoids(X, medoids)
@@ -281,9 +313,11 @@ def pmedian_greedy(ds: Dataset, p: int) -> MedoidSolution:
     sequence once and takes every probe's prefix from it. A prefix is exact
     because each opening is confirmed with exact costs whose bits match a
     full pass, and the lowest index among the exact minima opens whatever p
-    is, so the p-th medoid is the one a loop stopping at p would open. That
-    rests on the screening window holding the exact minimum, which the
-    bound on the running costs' rounding guarantees up to n of about 10^6.
+    is, so the p-th medoid is the one a loop stopping at p would open. The
+    runners-up are ranked by the same exact costs, taken over a window of
+    the scores that chose the p-th medoid. Both rest on the screening
+    windows holding the exact minima, which the bound on the running costs'
+    rounding guarantees up to n of about 10^6.
     """
     return _GreedyOpening(ds).solution(p)
 
@@ -302,7 +336,7 @@ def pmedian_local_search(ds: Dataset, sol: MedoidSolution) -> MedoidSolution:
     improvement are re-costed, in index order, with the one-position sum,
     and the first strictly cheaper one is taken. After a swap only the rows
     that may have lost their nearest or second-nearest medoid are
-    reassigned from scratch.
+    reassigned from scratch. When no swap helps, ``sol`` itself is returned.
     """
     X = ds.values
     medoids = list(sol.medoids)
@@ -339,6 +373,8 @@ def pmedian_local_search(ds: Dataset, sol: MedoidSolution) -> MedoidSolution:
                     break
             if improved:
                 break
+    if medoids == sol.medoids:
+        return sol  # no swap: sol already holds this assignment
     assignment, total = _assign_to_medoids(X, medoids)
     return MedoidSolution(medoids, assignment, total, list(sol.candidates))
 

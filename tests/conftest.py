@@ -49,3 +49,11 @@ def tie_heavy_dataset(draw, min_n=4, max_n=24, m_range=(1, 3)):
         values = rng.integers(0, 4, size=(n, m)).astype(np.float64)
     assume(np.ptp(values, axis=0).max() > 0)
     return Dataset(values)
+
+
+def nearly_constant_column(n=8, seed=0):
+    """A normal column next to 3000 + 3e-6 N(0, 1): a relative spread of
+    1e-9, above the constant guard (1e-12) but too small to center in
+    float64, where the z-scored mean keeps an error of about 1e-7."""
+    rng = np.random.default_rng(seed)
+    return Dataset(np.column_stack([rng.normal(size=n), 3000 + 3e-6 * rng.normal(size=n)]))

@@ -8,8 +8,19 @@ import pytest
 
 import gcluster.bench as bench_mod
 from gcluster import stats
-from gcluster import Dataset, Partition, evaluate, kmeans_gc, load_csv, standardize, wards_gc
+from gcluster import (
+    Dataset,
+    Partition,
+    evaluate,
+    kmeans_gc,
+    load_csv,
+    standardize,
+    wards_gc,
+    write_csv,
+)
 from gcluster.cli import main
+
+from conftest import nearly_constant_column
 
 
 def run_cli(*argv):
@@ -220,6 +231,17 @@ def test_solve_degenerate_data_is_data_error(tmp_path):
     path.write_text("1,2\n1,2\n1,2\n")
     code = run_cli("solve", "--algo", "wards", "--r2t", "0.6", "--input", str(path))
     assert code == 3
+
+
+def test_solve_names_a_column_standardize_cannot_center(tmp_path, capsys):
+    path = tmp_path / "narrow.csv"
+    write_csv(nearly_constant_column(), path)
+    code = run_cli(
+        "solve", "--algo", "wards", "--r2t", "0.6", "--input", str(path), "--standardize"
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "column 1 cannot be z-scored in float64" in err and "flag" not in err
 
 
 def test_solve_is_deterministic_modulo_time(tmp_path):

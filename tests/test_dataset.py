@@ -20,7 +20,7 @@ from gcluster import (
     write_csv,
 )
 
-from conftest import small_dataset
+from conftest import nearly_constant_column, small_dataset
 
 
 def test_load_single_column(tmp_path):
@@ -130,6 +130,15 @@ def test_standardize_twice_is_an_error():
     ds = standardize(Dataset(np.array([[0.0], [1.0], [2.0]])))
     with pytest.raises(DataError):
         standardize(ds)
+
+
+def test_standardize_names_a_column_it_cannot_center():
+    # it once raised "standardized flag set but columns are not z-scored"
+    # for its own output
+    with pytest.raises(DataError, match="column 1 cannot be z-scored in float64") as err:
+        standardize(nearly_constant_column())
+    assert "too small relative to its magnitude" in str(err.value)
+    assert "flag" not in str(err.value)
 
 
 @settings(max_examples=40, deadline=None)

@@ -75,11 +75,20 @@ def test_greedy_cost_matches_recomputation():
     assert len(sol.candidates) <= 10
 
 
-def test_local_search_fixed_point():
+def test_local_search_fixed_point(monkeypatch):
     ds = three_point_line()
     sol = pmedian_greedy(ds, 2)  # already optimal, cost 0
+    calls = []
+    nearest_two = kmeans_module._nearest_two
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return nearest_two(*args, **kwargs)
+
+    monkeypatch.setattr(kmeans_module, "_nearest_two", counting)
     out = pmedian_local_search(ds, sol)
-    assert out.medoids == sol.medoids
+    # no swap: the greedy solution's assignment is not recomputed
+    assert out is sol and len(calls) == 1
 
 
 def test_local_search_beats_greedy_and_respects_optimum():
@@ -296,19 +305,46 @@ def search_ks(n, first_feasible):
     return ks
 
 
+def probe_order(name, n, first_feasible):
+    if name == "bracket":
+        return search_ks(n, first_feasible) + [n, 1]
+    ks = sorted(set(range(1, n + 1, max(1, n // 10))) | {n})
+    return ks if name == "ascending" else ks[::-1]
+
+
+def assert_opening_answers_like_scan(ds, order, budget):
+    """Every prefix of one shared opening equals the scan. With the budget
+    "partway", snapshots stop after a third of the openings, so the later
+    prefixes rank their candidates over every column."""
+    with pytest.MonkeyPatch.context() as mp:
+        if budget == "partway":
+            budget = 2 * ds.n * max(1, ds.n // 3)
+        if budget is not None:
+            mp.setattr(kmeans_module, "_BLOCK_BUDGET", budget)
+        opening = kmeans_module._GreedyOpening(ds)
+        for p in order:
+            assert_same_solution(opening.solution(p), pmedian_greedy_scan(ds, p))
+        kept = min(len(opening.medoids), kmeans_module._BLOCK_BUDGET // (2 * ds.n))
+    assert len(opening.snapshots) == kept
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     tie_heavy_dataset(min_n=2, max_n=40, m_range=(1, 4)),
     st.integers(2, 40),
-    st.sampled_from([None, 7, 301]),
+    st.sampled_from(["bracket", "ascending", "descending"]),
+    st.sampled_from([None, 7, 301, "partway"]),
 )
-def test_shared_opening_answers_bisection_order_like_scan(ds, first_feasible, budget):
-    with pytest.MonkeyPatch.context() as mp:
-        if budget is not None:
-            mp.setattr(kmeans_module, "_BLOCK_BUDGET", budget)
-        opening = kmeans_module._GreedyOpening(ds)
-        for p in search_ks(ds.n, first_feasible) + [ds.n, 1]:
-            assert_same_solution(opening.solution(p), pmedian_greedy_scan(ds, p))
+def test_shared_opening_answers_any_probe_order_like_scan(ds, first_feasible, order, budget):
+    assert_opening_answers_like_scan(ds, probe_order(order, ds.n, first_feasible), budget)
+
+
+@pytest.mark.parametrize("budget", [None, "partway"])
+@pytest.mark.parametrize("order", ["bracket", "ascending", "descending"])
+def test_shared_opening_answers_any_probe_order_like_scan_on_continuous_data(order, budget):
+    for seed in range(2):
+        ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 60, 3, seed)))
+        assert_opening_answers_like_scan(ds, probe_order(order, ds.n, 7), budget)
 
 
 def reference_probes(ds, r2t):
@@ -350,11 +386,22 @@ def test_kmeans_gc_probe_order_is_pinned():
     # the benchmark's kmeans-bisect instance; a bisection over 1..400 made
     # nine probes here: 200, 100, 50, 25, 13, 7, 4, 5, 6
     ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 400, 3, 1)))
-    probes = []
-    p = kmeans_gc(ds, 0.6, on_probe=probes.append)
+    probes, widths = [], []
+    opening_costs = kmeans_module._opening_costs
+
+    def recording(X, d, cols):
+        widths.append(len(cols))
+        return opening_costs(X, d, cols)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kmeans_module, "_opening_costs", recording)
+        p = kmeans_gc(ds, 0.6, on_probe=probes.append)
     assert [probe.k for probe in probes] == [2, 4, 8, 6, 5]
     assert [probe.feasible for probe in probes] == [False, False, True, True, False]
     assert p.k == 6
+    # the first opening and the fold of the first medoid cost every column;
+    # the probes rank their swap candidates from the openings' own scores
+    assert widths.count(ds.n) == 2
 
 
 def plain_bisection(ds, r2t):
