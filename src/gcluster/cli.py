@@ -249,8 +249,11 @@ def _load_bench_config(path, cfg: VnsConfig):
             raise DataError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    entries = doc.get("instances", [])
+    if not isinstance(entries, list):
+        raise DataError(f"instances must be a list of objects, got {entries!r}")
     specs = []
-    for entry in doc.get("instances", []):
+    for entry in entries:
         if not isinstance(entry, dict):
             raise DataError(f"instance entry {entry!r} is not an object")
         try:

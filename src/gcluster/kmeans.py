@@ -18,9 +18,9 @@ stopping at p would. A probe's result therefore depends on its k alone,
 not on which probes came before it: any driver that stops at the same k
 returns the same partition, bit for bit. The opening keeps a running
 opening cost per element and, after each opening, subtracts the change on
-the rows that moved closer. It keeps the scores that chose each opening,
-so a probe ranks its swap candidates by costing exactly only the few
-columns those scores place near the cut, not by another pass over all n.
+the rows that moved closer. Each opening keeps the window of columns its
+scores place near the cut, so a probe ranks its swap candidates by costing
+exactly only those few columns, not by another pass over all n.
 The swap search costs a candidate against every medoid position in one
 ``bincount`` pass (the fast swap of Resende & Werneck 2003; FastPAM,
 Schubert & Rousseeuw, arXiv:1810.05691), and after a swap reassigns only
@@ -159,10 +159,10 @@ def _swap_nearest_two(
     return nearest, d1, d2
 
 
-def _assign_to_medoids(X: np.ndarray, medoids: list[int]):
-    """Nearest-medoid assignment and total cost; each medoid is pinned to its
-    own slot so every slot stays non-empty even with duplicate points."""
-    nearest, d1, _ = _nearest_two(X, X[medoids])
+def _assign_to_medoids(medoids: list[int], nearest: np.ndarray, d1: np.ndarray):
+    """Assignment and total cost from :func:`_nearest_two`'s ``nearest`` and
+    ``d1`` for ``X[medoids]`` (not modified); each medoid is pinned to its own
+    slot so every slot stays non-empty even with duplicate points."""
     assignment = nearest.copy()
     assignment[medoids] = np.arange(len(medoids))
     d1 = d1.copy()
@@ -213,11 +213,10 @@ class _GreedyOpening:
     last one opened: the newest opening is folded in only when the next one
     is needed.
 
-    Each opening leaves a snapshot for :meth:`solution`: a copy of the
-    running scores that chose it, the ``tol`` then in force, and the ``d``
-    it was chosen against (kept by reference, as a fold replaces ``d``).
-    That is 2 n floats per opening; snapshots are kept while they fit in
-    ``_BLOCK_BUDGET`` floats, and later openings have none.
+    The p-th opening leaves :meth:`solution` its ranking window: the
+    columns whose running score is within ``tol`` of the r-th smallest,
+    r = min(2p + 1, n - p + 1). The p - 1 medoids already open score inf,
+    so they rank last and are never in it.
     """
 
     def __init__(self, ds: Dataset):
@@ -226,8 +225,7 @@ class _GreedyOpening:
         self.d = np.full(ds.n, np.inf)
         self.scores: np.ndarray | None = None  # running costs; None asks for a full pass
         self.tol = 0.0
-        # (scores, tol, d) as each opening was chosen
-        self.snapshots: list[tuple[np.ndarray, float, np.ndarray]] = []
+        self.windows: list[np.ndarray] = []  # ranking window of each opening
 
     def extend(self, p: int) -> None:
         """Open medoids until ``p`` are open."""
@@ -245,9 +243,10 @@ class _GreedyOpening:
                 scores = self.scores
                 near = np.flatnonzero(scores <= scores.min() + self.tol)
                 chosen = int(near[np.argmin(_opening_costs(X, self.d, near))])
-            if 2 * n * (len(self.snapshots) + 1) <= _BLOCK_BUDGET:
-                # _fold_in updates scores in place but replaces d
-                self.snapshots.append((self.scores.copy(), self.tol, self.d))
+            # the window of opening p = len(self.medoids) + 1 (class docstring)
+            rank = min(2 * len(self.medoids) + 3, n - len(self.medoids))
+            edge = np.partition(scores, rank - 1)[rank - 1]
+            self.windows.append(np.flatnonzero(scores <= edge + self.tol))
             self.medoids.append(chosen)
 
     def _fold_in(self, opened: int) -> None:
@@ -272,35 +271,30 @@ class _GreedyOpening:
         over the first p - 1 medoids (the pass that opened the p-th, in a
         loop that stops at p), ties to the lowest index.
 
-        Only a window of columns is costed exactly. With the snapshot of
-        the p-th opening, it holds the columns outside the first p - 1
-        medoids whose running score is within ``tol`` of the (2p+1)-th
-        smallest such score. A running score is within tol / 2 of the exact
-        cost (the bound the opening's own screen rests on), so the 2p + 1
-        exactly cheapest columns, the p-th medoid among them, all lie in the
+        Only the p-th opening's window is costed exactly. A running score
+        is within tol / 2 of the exact cost (the bound the opening's own
+        screen rests on), so the 2p + 1 exactly cheapest columns outside
+        the first p - 1 medoids, the p-th medoid among them, all lie in the
         window, and ``_opening_costs`` gives them the bits of a full pass.
-        Without a snapshot the window is every column.
+
+        One nearest-two pass over the p medoids gives the assignment and
+        d_{p-1}, the distance to the nearest of the first p - 1: d2 where
+        the p-th medoid is nearest, d1 elsewhere (inf for p = 1). A minimum
+        is exact and a pair's distance has the same bits in any block, so
+        this is the ``d`` the p-th opening was chosen against, bit for bit.
         """
         X, n = self.X, len(self.X)
         if not 1 <= p <= n:
             raise ValueError(f"medoid count must be in 1..{n}, got {p}")
         self.extend(p)
         medoids = self.medoids[:p]
-        if p <= len(self.snapshots):
-            scores, tol, d = self.snapshots[p - 1]
-            window = np.delete(np.arange(n), medoids[:-1])
-            rank = min(2 * p + 1, len(window))
-            edge = np.partition(scores[window], rank - 1)[rank - 1]
-            window = window[scores[window] <= edge + tol]
-        else:
-            d = np.full(n, np.inf)
-            for j in medoids[:-1]:  # the fold extend() made, bit for bit
-                d = np.minimum(d, _column(X, j))
-            window = np.arange(n)
+        nearest, d1, d2 = _nearest_two(X, X[medoids])
+        d = np.where(nearest == p - 1, d2, d1)  # the fold extend() made
+        window = self.windows[p - 1]
         order = window[np.argsort(_opening_costs(X, d, window), kind="stable")]
         taken = set(medoids)
         candidates = [int(i) for i in order if int(i) not in taken][: 2 * p]
-        assignment, total = _assign_to_medoids(X, medoids)
+        assignment, total = _assign_to_medoids(medoids, nearest, d1)
         return MedoidSolution(medoids, assignment, total, candidates)
 
 
@@ -314,10 +308,10 @@ def pmedian_greedy(ds: Dataset, p: int) -> MedoidSolution:
     because each opening is confirmed with exact costs whose bits match a
     full pass, and the lowest index among the exact minima opens whatever p
     is, so the p-th medoid is the one a loop stopping at p would open. The
-    runners-up are ranked by the same exact costs, taken over a window of
-    the scores that chose the p-th medoid. Both rest on the screening
-    windows holding the exact minima, which the bound on the running costs'
-    rounding guarantees up to n of about 10^6.
+    runners-up are ranked by the same exact costs over the window that the
+    p-th opening kept (see :meth:`_GreedyOpening.solution`). Both rest on
+    the screening windows holding the exact minima, which the bound on the
+    running costs' rounding guarantees up to n of about 10^6.
     """
     return _GreedyOpening(ds).solution(p)
 
@@ -336,7 +330,8 @@ def pmedian_local_search(ds: Dataset, sol: MedoidSolution) -> MedoidSolution:
     improvement are re-costed, in index order, with the one-position sum,
     and the first strictly cheaper one is taken. After a swap only the rows
     that may have lost their nearest or second-nearest medoid are
-    reassigned from scratch. When no swap helps, ``sol`` itself is returned.
+    reassigned from scratch; the result is assigned from the kept arrays.
+    When no swap helps, ``sol`` itself is returned.
     """
     X = ds.values
     medoids = list(sol.medoids)
@@ -375,7 +370,7 @@ def pmedian_local_search(ds: Dataset, sol: MedoidSolution) -> MedoidSolution:
                 break
     if medoids == sol.medoids:
         return sol  # no swap: sol already holds this assignment
-    assignment, total = _assign_to_medoids(X, medoids)
+    assignment, total = _assign_to_medoids(medoids, nearest, d1)
     return MedoidSolution(medoids, assignment, total, list(sol.candidates))
 
 

@@ -385,12 +385,16 @@ def test_bench_failed_rows_exit_4_after_writing(tmp_path, capsys):
         json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": 1}], "r2t": [0.6], "time_limit": "5"}),
         json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": 1}], "r2t": [0.6], "time_limit": True}),
         json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": 1}], "r2t": [0.6], "time_limit": 10**400}),
+        # these once exited 1 with a traceback, or blamed the key "dist"
+        json.dumps({"instances": 5, "r2t": [0.6]}),
+        json.dumps({"instances": None, "r2t": [0.6]}),
+        json.dumps({"instances": {"dist": "normal", "n": 12, "m": 2, "seed": 1}, "r2t": [0.6]}),
     ],
     ids=["no-thresholds", "bad-json", "r2t-word", "r2t-scalar", "r2t-out-of-range",
          "rmax-word", "time-limit-word", "not-an-object", "time-limit-nan", "n-float",
          "m-float", "seed-bool", "seed-string", "rmax-float", "algorithms-string",
          "algorithms-non-string", "r2t-string", "time-limit-string", "time-limit-bool",
-         "time-limit-huge"],
+         "time-limit-huge", "instances-number", "instances-null", "instances-object"],
 )
 def test_bench_config_is_checked_before_solving(tmp_path, capsys, text):
     config = tmp_path / "suite.json"

@@ -313,19 +313,24 @@ def probe_order(name, n, first_feasible):
 
 
 def assert_opening_answers_like_scan(ds, order, budget):
-    """Every prefix of one shared opening equals the scan. With the budget
-    "partway", snapshots stop after a third of the openings, so the later
-    prefixes rank their candidates over every column."""
+    """Every prefix of one shared opening equals the scan, and each opening
+    keeps one ranking window: the p-th holds that medoid and the 2p + 1
+    cheapest columns' worth, and none of the p - 1 medoids open before it.
+    The budget shapes every chunked pass; "chunked" cuts the full pass into
+    about 3 m chunks."""
     with pytest.MonkeyPatch.context() as mp:
-        if budget == "partway":
+        if budget == "chunked":
             budget = 2 * ds.n * max(1, ds.n // 3)
         if budget is not None:
             mp.setattr(kmeans_module, "_BLOCK_BUDGET", budget)
         opening = kmeans_module._GreedyOpening(ds)
         for p in order:
             assert_same_solution(opening.solution(p), pmedian_greedy_scan(ds, p))
-        kept = min(len(opening.medoids), kmeans_module._BLOCK_BUDGET // (2 * ds.n))
-    assert len(opening.snapshots) == kept
+    assert len(opening.windows) == len(opening.medoids)
+    for p, window in enumerate(opening.windows, start=1):
+        assert opening.medoids[p - 1] in window
+        assert len(window) >= min(2 * p + 1, ds.n - p + 1)
+        assert not set(opening.medoids[: p - 1]) & set(window.tolist())
 
 
 @settings(max_examples=60, deadline=None)
@@ -333,13 +338,13 @@ def assert_opening_answers_like_scan(ds, order, budget):
     tie_heavy_dataset(min_n=2, max_n=40, m_range=(1, 4)),
     st.integers(2, 40),
     st.sampled_from(["bracket", "ascending", "descending"]),
-    st.sampled_from([None, 7, 301, "partway"]),
+    st.sampled_from([None, 7, 301, "chunked"]),
 )
 def test_shared_opening_answers_any_probe_order_like_scan(ds, first_feasible, order, budget):
     assert_opening_answers_like_scan(ds, probe_order(order, ds.n, first_feasible), budget)
 
 
-@pytest.mark.parametrize("budget", [None, "partway"])
+@pytest.mark.parametrize("budget", [None, "chunked"])
 @pytest.mark.parametrize("order", ["bracket", "ascending", "descending"])
 def test_shared_opening_answers_any_probe_order_like_scan_on_continuous_data(order, budget):
     for seed in range(2):
@@ -382,7 +387,8 @@ def test_kmeans_gc_probes_match_scan_pipeline_on_continuous_data():
         assert got == reference_probes(ds, 0.6)
 
 
-def test_kmeans_gc_probe_order_is_pinned():
+@pytest.mark.parametrize("budget", [None, 1600, 301], ids=["default", "1600", "301"])
+def test_kmeans_gc_probe_order_is_pinned(budget):
     # the benchmark's kmeans-bisect instance; a bisection over 1..400 made
     # nine probes here: 200, 100, 50, 25, 13, 7, 4, 5, 6
     ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 400, 3, 1)))
@@ -394,13 +400,16 @@ def test_kmeans_gc_probe_order_is_pinned():
         return opening_costs(X, d, cols)
 
     with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:  # small budgets chunk every pass finely
+            mp.setattr(kmeans_module, "_BLOCK_BUDGET", budget)
         mp.setattr(kmeans_module, "_opening_costs", recording)
         p = kmeans_gc(ds, 0.6, on_probe=probes.append)
     assert [probe.k for probe in probes] == [2, 4, 8, 6, 5]
     assert [probe.feasible for probe in probes] == [False, False, True, True, False]
     assert p.k == 6
     # the first opening and the fold of the first medoid cost every column;
-    # the probes rank their swap candidates from the openings' own scores
+    # the probes rank their swap candidates from the openings' own windows,
+    # whatever the budget
     assert widths.count(ds.n) == 2
 
 

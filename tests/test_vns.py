@@ -238,7 +238,7 @@ def test_equal_k_round_off_gain_is_rejected():
 @pytest.mark.parametrize("starter", list(Starter))
 @pytest.mark.parametrize("duplicates", [False, True])
 def test_warm_rebuilds_match_cold_rebuilds(monkeypatch, starter, duplicates):
-    # Every rebuild resumes from the incumbent's partner arrays; forcing
+    # Every rebuild resumes from the incumbent's stored drop matrix; forcing
     # cold rebuilds must not change a single decision of the search.
     rng = np.random.default_rng(17)
     values = rng.normal(size=(60, 3))
@@ -261,4 +261,4 @@ def test_warm_rebuilds_match_cold_rebuilds(monkeypatch, starter, duplicates):
 
     monkeypatch.setattr(ward, "wards_gc_from", cold)
     assert outcome() == warm
-    assert offered and all(offered)  # the search did hand over partner arrays
+    assert offered and all(offered)  # the search did hand over the drop matrix
