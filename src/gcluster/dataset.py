@@ -8,6 +8,7 @@ concurrent solver runs.
 
 from __future__ import annotations
 
+import array
 import csv
 import enum
 from dataclasses import dataclass, field
@@ -190,55 +191,118 @@ def _parse_cell(cell: str) -> float | None:
     return value if np.isfinite(value) else None
 
 
+# Whitespace to numpy's float parse but not to ``float``: the ASCII
+# separators U+001C..U+001F.
+_NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# Rows per block of the streamed pass; a fault is worded from its block.
+_STREAM_ROWS = 512
+
+
 def load_csv(path) -> Dataset:
     """Read a comma-separated numeric matrix (rows = elements).
 
-    The first row is a header iff any of its cells does not parse as a
-    finite number. Blank lines are skipped. One streamed pass parses the
-    cells; a :class:`DataError` names the first fault.
+    The first non-empty row is a header iff any of its cells does not parse
+    as a finite number; the first data row sets the width m. Blank lines are
+    skipped. numpy's C reader parses the rows after the header, and its
+    matrix is kept when it is m wide and every entry is finite. Anything
+    else goes to the streamed ``csv`` + ``float`` pass: the only one that
+    reads ``float``'s whole grammar (``1_000``, non-ASCII digits, quoted
+    cells), and the one that names the first fault in row-major order in a
+    :class:`DataError`. Both give every cell the bits ``float`` gives it.
+    A stream that cannot be read twice, such as a pipe, takes the streamed
+    pass alone.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = filter(None, csv.reader(fh))
+            reader = csv.reader(fh)
+            rows = filter(None, reader)
             first = next(rows, [])
             has_header = any(_parse_cell(c) is None for c in first)
+            header_lines = reader.line_num if has_header else 0
             head = next(rows, []) if has_header else first
             if not head:
                 raise DataError(f"{path}: {'no data rows' if first else 'file is empty'}")
             m = len(head)
-
-            def cells():
-                for row in chain([head], rows):
-                    if len(row) != m:
-                        raise ValueError("ragged row")
-                    yield from row
-
-            # every fault ends the pass as a ValueError; _first_fault words it
-            try:
-                flat = np.fromiter(map(float, cells()), dtype=np.float64)
-                if not np.isfinite(flat).all():
-                    raise ValueError("non-finite cell")
-            except ValueError:
-                raise DataError(_first_fault(path, has_header, m)) from None
+            values = _parse_in_c(path, header_lines, m) if fh.seekable() else None
+            if values is None:
+                values = _parse_streamed(path, chain([head], rows), 1 + has_header, m)
     except (csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from None
-    n = len(flat) // m
-    if n < 2:
-        raise DataError(f"{path}: need at least 2 data rows, got {n}")
-    return Dataset(values=_Owned(flat.reshape(n, m)))
+    if len(values) < 2:
+        raise DataError(f"{path}: need at least 2 data rows, got {len(values)}")
+    return Dataset(values=_Owned(values))
 
 
-def _first_fault(path, has_header: bool, m: int) -> str:
-    """Word the first fault in row-major order from a second read, as the
-    streamed pass keeps no cell text. Row numbers count non-empty rows."""
+def _parse_in_c(path, header_lines: int, m: int) -> np.ndarray | None:
+    """numpy's parse of the file after its first ``header_lines`` lines, or
+    None unless it is m wide, finite, and sure to equal the streamed pass.
+
+    Quoting stays off, so any quote fails the C parse and a cell is the
+    text between commas on one line, as ``csv`` splits it there; a cell that
+    numpy's float parse accepts gets ``float``'s bits. The file is first
+    scanned for the two things numpy accepts and the streamed pass does not:
+    a U+001C..U+001F character, and a cell over ``csv.field_size_limit()``.
+    numpy reads the lines of a handle opened here: given a path, it would
+    decompress by the file's extension.
+    """
+    if not _c_reader_agrees(path):
+        return None
     with open(path, newline="", encoding="utf-8") as fh:
-        for rownum, row in islice(enumerate(filter(None, csv.reader(fh)), 1), has_header, None):
-            if len(row) != m:
-                return f"{path}: row {rownum} has {len(row)} cells, expected {m}"
-            for j, cell in enumerate(row, 1):
-                if _parse_cell(cell) is None:
-                    return f"{path}: row {rownum}, column {j}: {cell!r} is not a finite number"
-    return f"{path}: changed while it was read"
+        next(islice(fh, header_lines, header_lines), None)
+        try:
+            values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        except ValueError:  # a cell or row it rejects, or undecodable text
+            return None
+    if values.shape[1] != m or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _c_reader_agrees(path) -> bool:
+    """False if the file has a byte U+001C..U+001F, or a run of 2w bytes,
+    2w <= ``csv.field_size_limit()``, with no comma or line end: a longer
+    cell would cover one of the aligned w-byte windows checked here."""
+    w = max(1, min(csv.field_size_limit(), 1 << 17) // 2)
+    with open(path, "rb") as fb:
+        while block := fb.read(4 * w):
+            if any(c in block for c in _NUMPY_ONLY_SPACE):
+                return False
+            for lo in range(0, len(block) - w + 1, w):
+                if all(block.find(c, lo, lo + w) < 0 for c in (b",", b"\n", b"\r")):
+                    return False
+    return True
+
+
+def _parse_streamed(path, rows, rownum: int, m: int) -> np.ndarray:
+    """The ``csv`` + ``float`` pass over the data ``rows``, the first of
+    them non-empty row ``rownum``, a block of rows at a time. The first
+    block with a fault words it."""
+    flat = array.array("d")
+    while block := list(islice(rows, _STREAM_ROWS)):
+        try:
+            if set(map(len, block)) != {m}:
+                raise ValueError("ragged row")
+            cells = map(float, chain.from_iterable(block))
+            values = np.fromiter(cells, dtype=np.float64, count=len(block) * m)
+            if not np.isfinite(values).all():
+                raise ValueError("non-finite cell")
+        except ValueError:
+            raise DataError(_first_fault(path, rownum, block, m)) from None
+        flat.frombytes(values.tobytes())
+        rownum += len(block)
+    return np.frombuffer(flat).reshape(-1, m)
+
+
+def _first_fault(path, rownum: int, block: list[list[str]], m: int) -> str:
+    """Word the first fault in row-major order in a block of rows, the first
+    of them row ``rownum``."""
+    for i, row in enumerate(block, rownum):
+        if len(row) != m:
+            return f"{path}: row {i} has {len(row)} cells, expected {m}"
+        for j, cell in enumerate(row, 1):
+            if _parse_cell(cell) is None:
+                return f"{path}: row {i}, column {j}: {cell!r} is not a finite number"
+    raise ValueError("the block has no fault")
 
 
 def write_csv(ds: Dataset, path) -> None:

@@ -266,10 +266,16 @@ class _GreedyOpening:
         self.d = d_new
 
     def solution(self, p: int) -> MedoidSolution:
+        """The greedy p-median solution (see :meth:`solve`)."""
+        return self.solve(p)[0]
+
+    def solve(self, p: int) -> tuple[MedoidSolution, tuple[np.ndarray, ...]]:
         """The greedy p-median solution: the first p openings, and as swap
         candidates the 2p runners-up in the exact order of opening costs
         over the first p - 1 medoids (the pass that opened the p-th, in a
-        loop that stops at p), ties to the lowest index.
+        loop that stops at p), ties to the lowest index. Also returns the
+        (nearest, d1, d2) pass over its medoids that it was assigned from,
+        which a probe hands on to :func:`pmedian_local_search`.
 
         Only the p-th opening's window is costed exactly. A running score
         is within tol / 2 of the exact cost (the bound the opening's own
@@ -295,7 +301,7 @@ class _GreedyOpening:
         taken = set(medoids)
         candidates = [int(i) for i in order if int(i) not in taken][: 2 * p]
         assignment, total = _assign_to_medoids(medoids, nearest, d1)
-        return MedoidSolution(medoids, assignment, total, candidates)
+        return MedoidSolution(medoids, assignment, total, candidates), (nearest, d1, d2)
 
 
 def pmedian_greedy(ds: Dataset, p: int) -> MedoidSolution:
@@ -316,7 +322,9 @@ def pmedian_greedy(ds: Dataset, p: int) -> MedoidSolution:
     return _GreedyOpening(ds).solution(p)
 
 
-def pmedian_local_search(ds: Dataset, sol: MedoidSolution) -> MedoidSolution:
+def pmedian_local_search(
+    ds: Dataset, sol: MedoidSolution, *, _pass: tuple[np.ndarray, ...] | None = None
+) -> MedoidSolution:
     """Improve the medoid set by single swaps with the recorded candidates.
 
     First-improvement scan: replace one medoid by one candidate whenever the
@@ -331,7 +339,9 @@ def pmedian_local_search(ds: Dataset, sol: MedoidSolution) -> MedoidSolution:
     and the first strictly cheaper one is taken. After a swap only the rows
     that may have lost their nearest or second-nearest medoid are
     reassigned from scratch; the result is assigned from the kept arrays.
-    When no swap helps, ``sol`` itself is returned.
+    When no swap helps, ``sol`` itself is returned. ``_pass``, for a probe,
+    is the :func:`_nearest_two` pass over ``sol``'s medoids that built it
+    (not modified); without it the search makes that pass itself.
     """
     X = ds.values
     medoids = list(sol.medoids)
@@ -339,7 +349,7 @@ def pmedian_local_search(ds: Dataset, sol: MedoidSolution) -> MedoidSolution:
     if not sol.candidates or p == len(X):
         return sol
 
-    nearest, d1, d2 = _nearest_two(X, X[medoids])
+    nearest, d1, d2 = _nearest_two(X, X[medoids]) if _pass is None else _pass
     cost = float(d1.sum())
     columns: dict[int, np.ndarray] = {}
     improved = True
@@ -414,7 +424,8 @@ def kmeans(ds: Dataset, k: int, init: Partition) -> KmeansResult:
 
 
 def _probe(ds: Dataset, k: int, opening: _GreedyOpening) -> KmeansResult:
-    sol = pmedian_local_search(ds, opening.solution(k))
+    sol, nearest_pass = opening.solve(k)
+    sol = pmedian_local_search(ds, sol, _pass=nearest_pass)
     init = Partition.from_labels(ds, sol.assignment)
     return kmeans(ds, k, init)
 

@@ -30,6 +30,9 @@ from .stats import Partition
 # back to taking the top-ranked remaining candidates deterministically.
 _DRAW_CAP_PER_REMOVAL = 100
 
+# Shake candidates in rank order, each element's group, each group's size.
+_Ranking = tuple[list[int], list[int], list[int]]
+
 
 class Starter(enum.Enum):
     """Which construction provides the initial incumbent."""
@@ -68,23 +71,11 @@ class VnsTrace:
     termination: Termination | None = None
 
 
-def shake(ds: Dataset, p_star: Partition, r: int, rng: np.random.Generator) -> Partition:
-    """Draw a perturbed partition with exactly r extra singleton groups.
-
-    Candidates are the elements of non-singleton groups, ranked by removal
-    effect (descending, ties by element id). The ranked list is scanned in
-    passes: the i-th still-unselected candidate of a pass is taken iff a
-    fresh uniform draw exceeds i/min(n, 2r). Elements whose source group has
-    shrunk to one remaining member drop out. If the coin flips have not
-    produced r selections after 100*r draws, the top remaining candidates
-    are taken outright.
-    """
-    n = ds.n
-    # structural capacity: each group can lose all but one member
-    if not 1 <= r <= n - p_star.k:
-        raise ValueError(f"shake radius must satisfy 1 <= r <= n - k, got r={r}")
+def _rank(ds: Dataset, p_star: Partition) -> _Ranking:
+    """Shake's candidates in rank order, each element's group and the group
+    sizes, as Python ints for the coin loop. They depend on the incumbent
+    alone, so :func:`vns_gc` ranks each incumbent once."""
     total = stats.sst(ds).total
-
     assignment = p_star.assignment
     eligible = np.flatnonzero(p_star.sizes[assignment] >= 2)
     centroids = p_star.sums / p_star.sizes[:, None]
@@ -92,11 +83,13 @@ def shake(ds: Dataset, p_star: Partition, r: int, rng: np.random.Generator) -> P
     sizes = p_star.sizes[assignment[eligible]].astype(np.float64)
     effects = sizes / (sizes - 1.0) * np.einsum("ij,ij->i", diffs, diffs) / total
     order = np.lexsort((eligible, -effects))
-    # the coin loop below runs on Python ints, not numpy scalars
-    ranked = eligible[order].tolist()
-    group_left = p_star.sizes.tolist()
-    member_of = assignment.tolist()
+    return eligible[order].tolist(), assignment.tolist(), p_star.sizes.tolist()
 
+
+def _draw(ranking: _Ranking, n: int, r: int, rng) -> list[int]:
+    """The r elements a shake isolates, drawn from :func:`_rank`'s output."""
+    ranked, member_of, group_left = ranking
+    group_left = list(group_left)  # the ranking is kept for later draws
     denom = min(n, 2 * r)
     selected: list[int] = []
     draws = 0
@@ -129,8 +122,33 @@ def shake(ds: Dataset, p_star: Partition, r: int, rng: np.random.Generator) -> P
         if group_left[member_of[elem]] >= 2:
             selected.append(elem)
             group_left[member_of[elem]] -= 1
+    return selected
 
-    return stats.apply_removals(ds, p_star, selected)
+
+def shake(
+    ds: Dataset,
+    p_star: Partition,
+    r: int,
+    rng: np.random.Generator,
+    *,
+    _ranking: _Ranking | None = None,
+) -> Partition:
+    """Draw a perturbed partition with exactly r extra singleton groups.
+
+    Candidates are the elements of non-singleton groups, ranked by removal
+    effect (descending, ties by element id). The ranked list is scanned in
+    passes: the i-th still-unselected candidate of a pass is taken iff a
+    fresh uniform draw exceeds i/min(n, 2r). Elements whose source group has
+    shrunk to one remaining member drop out. If the coin flips have not
+    produced r selections after 100*r draws, the top remaining candidates
+    are taken outright. ``_ranking``, for VNS, is the ranking of ``p_star``
+    made once for all its shakes.
+    """
+    # structural capacity: each group can lose all but one member
+    if not 1 <= r <= ds.n - p_star.k:
+        raise ValueError(f"shake radius must satisfy 1 <= r <= n - k, got r={r}")
+    ranking = _rank(ds, p_star) if _ranking is None else _ranking
+    return stats.apply_removals(ds, p_star, _draw(ranking, ds.n, r, rng))
 
 
 def _run_starter(ds: Dataset, r2t: float, starter: Starter) -> Partition:
@@ -148,9 +166,11 @@ def vns_gc(ds: Dataset, r2t: float, cfg: VnsConfig) -> tuple[Partition, VnsTrace
     trace = VnsTrace()
 
     p_star = _run_starter(ds, r2t, cfg.starter)
-    # every rebuild starts from the incumbent's stored drop matrix, costed
-    # once per incumbent (8*k^2 bytes; a rebuild holds a second, larger one)
-    warm = (p_star.sizes, ward.drop_matrix(ds, p_star))
+    # every rebuild starts from the incumbent's stored drop matrix (8*k^2
+    # bytes; a rebuild holds a second, larger one), and every shake from its
+    # ranking: both are made once per incumbent
+    warm = ward._Warm(p_star.sizes, ward.drop_matrix(ds, p_star))
+    ranking = _rank(ds, p_star)
     total = stats.sst(ds).total
     best_r2 = p_star.ssb / total
     trace.best_history.append((time.perf_counter() - t0, p_star.k, best_r2))
@@ -164,7 +184,7 @@ def vns_gc(ds: Dataset, r2t: float, cfg: VnsConfig) -> tuple[Partition, VnsTrace
         if effective_rmax < 1 or r > effective_rmax:
             trace.termination = Termination.RMAX_EXHAUSTED
             break
-        shaken = shake(ds, p_star, r, rng)
+        shaken = shake(ds, p_star, r, rng, _ranking=ranking)
         rebuilt = ward.wards_gc_from(ds, shaken, r2t, _warm=warm)
         trace.iterations += 1
         rebuilt_r2 = rebuilt.ssb / total
@@ -173,7 +193,11 @@ def vns_gc(ds: Dataset, r2t: float, cfg: VnsConfig) -> tuple[Partition, VnsTrace
         gained = rebuilt_r2 > best_r2 + stats.THRESHOLD_EPS
         if rebuilt.k < p_star.k or (rebuilt.k == p_star.k and gained):
             p_star = rebuilt
-            warm = (p_star.sizes, ward.drop_matrix(ds, p_star))
+            # a warm rebuild hands back its result's drop matrix; one that
+            # did not run warm (a substituted rebuild) leaves none
+            d = ward.drop_matrix(ds, p_star) if warm.result is None else warm.result
+            warm = ward._Warm(p_star.sizes, d)
+            ranking = _rank(ds, p_star)
             best_r2 = rebuilt_r2
             trace.improvements += 1
             trace.best_history.append((time.perf_counter() - t0, p_star.k, best_r2))

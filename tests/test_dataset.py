@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,6 +23,8 @@ from gcluster import (
 )
 
 from conftest import nearly_constant_column, small_dataset
+from csv_reference import load_csv_scan
+from gcluster import dataset as dataset_module
 
 
 def test_load_single_column(tmp_path):
@@ -369,3 +373,136 @@ def test_loaded_and_standardized_values_are_read_only(tmp_path):
         assert not ds.values.flags.writeable
         with pytest.raises(ValueError):
             ds.values[0, 0] = 1.0
+
+
+# Cells for the differential test. Numbers in the spellings numpy's reader
+# and float() share, and in float()-only ones; padding numpy strips but
+# float() does not (U+001C..U+001F); non-finite spellings; and junk.
+_SHARED_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["+1", "-0", "-0.0", ".5", "5.", "1e5", "1E-3", "+2.5e+10", "5e-324", "1e-400"]),
+)
+_ODD_CELLS = st.sampled_from(
+    ["1_000", "-1_0.5", "１２", "٣", "nan", "-inf", "Infinity", "1e999", "-1e999",
+     "", "x", "#", "#1", "1#", "1 2", '"', '""', "1e", "--1", "0x10", "1\x002", "9" * 400]
+)
+_SHARED_PADS = st.sampled_from(["", " ", "\t", "  ", " \t"])
+_ODD_PADS = st.sampled_from(["\x0b", "\x0c", "\xa0", "　", "\x1c", "\x1f", "\x85"])
+
+
+@st.composite
+def _csv_cell(draw, clean):
+    pads = _SHARED_PADS if clean or draw(st.integers(0, 3)) else _ODD_PADS
+    core = draw(_SHARED_NUMBERS if clean or draw(st.integers(0, 4)) else _ODD_CELLS)
+    text = draw(pads) + core + draw(pads)
+    if not clean and draw(st.integers(0, 5)) == 0:
+        text = f'"{text}"'
+    return text
+
+
+@st.composite
+def _csv_bytes(draw, clean=None):
+    """CSV text from the cell grammar above, as UTF-8 bytes: blank and
+    whitespace-only lines, ragged rows, mixed line ends and an optional
+    header. ``clean`` files use only the spellings both readers share; the
+    others switch on odd cells, ragged rows and odd lines independently."""
+    if clean is None:
+        clean = draw(st.booleans())
+    odd_cells, ragged, odd_lines = (not clean and draw(st.booleans()) for _ in range(3))
+    m = draw(st.integers(1, 4))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(draw(st.sampled_from(["a", "x 1", '"b,c"', "1x", "y"])) for _ in range(m)))
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", '""'] if odd_lines else [""])))
+        width = draw(st.integers(1, m + 1)) if ragged and draw(st.integers(0, 3)) == 0 else m
+        lines.append(",".join(draw(_csv_cell(not odd_cells)) for _ in range(width)))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+
+
+def _loaded_or_fault(load, path):
+    try:
+        return np.asarray(load(path)).tobytes()
+    except DataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_csv_bytes())
+def test_load_matches_the_streamed_reference(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("diff") / "d.csv"
+    path.write_bytes(data)
+    expect = _loaded_or_fault(load_csv_scan, path)
+    got = _loaded_or_fault(lambda p: load_csv(p).values, path)
+    assert got == expect
+
+
+def _spy_on_the_fallback(monkeypatch):
+    calls = []
+    streamed = dataset_module._parse_streamed
+
+    def spy(*args):
+        calls.append(args)
+        return streamed(*args)
+
+    monkeypatch.setattr(dataset_module, "_parse_streamed", spy)
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(_csv_bytes(clean=True))
+def test_clean_file_never_enters_the_fallback(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("clean") / "c.csv"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _spy_on_the_fallback(monkeypatch)
+        _loaded_or_fault(lambda p: load_csv(p).values, path)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "text", ["a,b\n1_000,2\n3,4\n", "1,2\n3,\x1c4\n", '1,"2"\n3,4\n', "1,2\n3,4 " + " " * 131_072 + "\n"],
+    ids=["digit-groups", "unit-separator", "quoted", "long-cell"],
+)
+def test_float_only_files_take_the_fallback(monkeypatch, tmp_path, text):
+    path = tmp_path / "f.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    calls = _spy_on_the_fallback(monkeypatch)
+    assert _loaded_or_fault(lambda p: load_csv(p).values, path) == _loaded_or_fault(load_csv_scan, path)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "text, expect",
+    [("x,y\n1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]), ("x,y\n1,2\n3,z\n", "row 3, column 2: 'z' is not a finite number")],
+    ids=["valid", "fault"],
+)
+def test_load_reads_a_pipe_in_one_pass(tmp_path, text, expect):
+    # A named pipe cannot be read twice: it takes the streamed pass alone,
+    # which also words its own fault
+    path = tmp_path / "pipe.csv"
+    os.mkfifo(path)
+    result = []
+
+    def write():
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    def read():
+        result.append(_loaded_or_fault(lambda p: load_csv(p).values, path))
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (write, read)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    if isinstance(expect, list):
+        assert result == [np.array(expect).tobytes()]
+    else:
+        assert result == [f"{path}: {expect}"]

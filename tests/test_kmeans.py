@@ -91,6 +91,27 @@ def test_local_search_fixed_point(monkeypatch):
     assert out is sol and len(calls) == 1
 
 
+def test_probe_without_a_swap_makes_one_nearest_medoid_pass(monkeypatch):
+    # the swap search starts from the pass that assigned the greedy solution;
+    # Lloyd's passes against centroids are squared and not counted here
+    ds = three_point_line()
+    calls = []
+    nearest_two = kmeans_module._nearest_two
+
+    def counting(X, points, squared=False):
+        if len(X) == ds.n and not squared:
+            calls.append(len(points))
+        return nearest_two(X, points, squared)
+
+    monkeypatch.setattr(kmeans_module, "_nearest_two", counting)
+    opening = kmeans_module._GreedyOpening(ds)
+    sol = opening.solution(2)
+    assert pmedian_local_search(ds, sol) is sol  # the probe takes no swap
+    calls.clear()
+    kmeans_module._probe(ds, 2, opening)
+    assert calls == [2]
+
+
 def test_local_search_beats_greedy_and_respects_optimum():
     for seed in range(6):
         ds = generate(InstanceSpec(Distribution.UNIFORM, 8, 2, seed))

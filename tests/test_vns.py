@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from gcluster import (
     ward,
     wards_gc,
 )
+from gcluster import vns as vns_module
 from gcluster.dataset import Distribution, InstanceSpec
 from gcluster.stats import SSB_RESYNC_INTERVAL
 
@@ -262,3 +264,59 @@ def test_warm_rebuilds_match_cold_rebuilds(monkeypatch, starter, duplicates):
     monkeypatch.setattr(ward, "wards_gc_from", cold)
     assert outcome() == warm
     assert offered and all(offered)  # the search did hand over the drop matrix
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cached_ranking_draws_like_a_fresh_one(seed):
+    # VNS ranks an incumbent once and draws every shake of it from that
+    # ranking; a draw must give what a fresh ranking gives, and leave it as
+    # it was. Odd seeds draw duplicate rows, so removal effects tie.
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(40, 3))
+    if seed % 2:
+        values = values[rng.integers(0, 12, size=40)]
+    ds = Dataset(values)
+    p = wards_gc(ds, 0.6)
+    ranking = vns_module._rank(ds, p)
+    for r in range(1, min(8, ds.n - p.k) + 1):
+        coins = rng.random(100 * r).tolist()
+        fresh = shake(ds, p, r, ScriptedRng(coins))
+        cached = shake(ds, p, r, ScriptedRng(coins), _ranking=ranking)
+        assert cached.assignment.tobytes() == fresh.assignment.tobytes()
+    assert ranking == vns_module._rank(ds, p)
+
+
+@pytest.mark.parametrize("starter", list(Starter))
+def test_rebuilds_hand_back_their_results_drop_matrix(monkeypatch, starter):
+    # Each warm rebuild leaves the drop matrix of its result behind, equal to
+    # a fresh drop_matrix byte for byte; after an accept the next rebuild
+    # starts from exactly that matrix.
+    ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 60, 3, 2)))
+    rebuild = ward.wards_gc_from
+    seen = []
+
+    def recording(ds, start, r2t, on_step=None, *, _warm=None):
+        out = rebuild(ds, start, r2t, on_step, _warm=_warm)
+        assert _warm.result.tobytes() == ward.drop_matrix(ds, out).tobytes()
+        seen.append((_warm, _warm.result, out))
+        return out
+
+    monkeypatch.setattr(ward, "wards_gc_from", recording)
+    _, trace = run_vns(ds, 0.7, starter, seed=3, r_max=15)
+    accepts = 0
+    for (warm, result, out), (following, _, _) in zip(seen, seen[1:]):
+        if following is not warm:
+            accepts += 1
+            assert following.d is result
+            assert following.sizes.tobytes() == out.sizes.tobytes()
+    assert accepts == trace.improvements > 0
+
+
+def test_vns_on_the_benchmark_instance_is_pinned():
+    # the vns-rebuild workload: N-400-10 @ 0.8 with seed 1
+    ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 400, 10, 1)))
+    best, trace = vns_gc(ds, 0.8, VnsConfig(seed=1))
+    assert (best.k, trace.iterations, trace.improvements) == (127, 327, 16)
+    digest = hashlib.sha256(best.assignment.tobytes()).hexdigest()
+    assert digest == "11dc78201b53484c579a4efa24f6dbcb56ed0cf44f2b869571ba124eef41290a"
+    assert float(best.ssb).hex() == "0x1.8f41ec101615cp+11"

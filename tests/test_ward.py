@@ -241,7 +241,7 @@ def test_warm_rebuild_matches_cold_rebuild(ds, seed, r2t, messy):
     else:
         incumbent = wards_gc(ds, r2t)
     assume(ds.n - incumbent.k >= 1)
-    warm = (incumbent.sizes, ward.drop_matrix(ds, incumbent))
+    warm = ward._Warm(incumbent.sizes, ward.drop_matrix(ds, incumbent))
     for r in sorted({1, min(3, ds.n - incumbent.k), ds.n - incumbent.k}):
         shaken = shake(ds, incumbent, r, rng)
         start = shaken.copy()
@@ -272,7 +272,7 @@ def test_warm_start_from_the_unshaken_incumbent_matches_cold_start():
     # no slot changed, so the stored matrix is used as it is
     ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 40, 3, 1)))
     p = wards_gc(ds, 0.5)
-    warm = wards_gc_from(ds, p, 0.4, _warm=(p.sizes, ward.drop_matrix(ds, p)))
+    warm = wards_gc_from(ds, p, 0.4, _warm=ward._Warm(p.sizes, ward.drop_matrix(ds, p)))
     cold = wards_gc_from(ds, p, 0.4)
     assert warm.k < p.k
     assert warm.assignment.tobytes() == cold.assignment.tobytes()
