@@ -191,9 +191,10 @@ def _parse_cell(cell: str) -> float | None:
     return value if np.isfinite(value) else None
 
 
-# Whitespace to numpy's float parse but not to ``float``: the ASCII
-# separators U+001C..U+001F.
-_NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# Bytes that send a data row to the streamed pass: a quote, and the ASCII
+# separators U+001C..U+001F, whitespace to numpy's float parse but not to
+# ``float``.
+_STREAMED_ONLY = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # Rows per block of the streamed pass; a fault is worded from its block.
 _STREAM_ROWS = 512
 
@@ -237,18 +238,19 @@ def _parse_in_c(path, header_lines: int, m: int) -> np.ndarray | None:
     """numpy's parse of the file after its first ``header_lines`` lines, or
     None unless it is m wide, finite, and sure to equal the streamed pass.
 
-    Quoting stays off, so any quote fails the C parse and a cell is the
-    text between commas on one line, as ``csv`` splits it there; a cell that
-    numpy's float parse accepts gets ``float``'s bits. The file is first
-    scanned for the two things numpy accepts and the streamed pass does not:
-    a U+001C..U+001F character, and a cell over ``csv.field_size_limit()``.
-    numpy reads the lines of a handle opened here: given a path, it would
-    decompress by the file's extension.
+    Quoting stays off, so a cell is the text between commas on one line, as
+    ``csv`` splits it there, and a cell that numpy's float parse accepts
+    gets ``float``'s bits. The rows after the header are first scanned for
+    a quote, which numpy would reject only once it reached it, and for the
+    two things numpy accepts and the streamed pass does not: a U+001C..U+001F
+    character, and a cell over ``csv.field_size_limit()``. numpy reads the
+    lines of a handle opened here: given a path, it would decompress by the
+    file's extension.
     """
-    if not _c_reader_agrees(path):
-        return None
     with open(path, newline="", encoding="utf-8") as fh:
-        next(islice(fh, header_lines, header_lines), None)
+        header = "".join(islice(fh, header_lines))
+        if not _c_reader_agrees(path, len(header.encode("utf-8"))):
+            return None
         try:
             values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
         except ValueError:  # a cell or row it rejects, or undecodable text
@@ -258,14 +260,16 @@ def _parse_in_c(path, header_lines: int, m: int) -> np.ndarray | None:
     return values
 
 
-def _c_reader_agrees(path) -> bool:
-    """False if the file has a byte U+001C..U+001F, or a run of 2w bytes,
-    2w <= ``csv.field_size_limit()``, with no comma or line end: a longer
-    cell would cover one of the aligned w-byte windows checked here."""
+def _c_reader_agrees(path, start: int) -> bool:
+    """False if the file from byte ``start`` on has a quote, a byte
+    U+001C..U+001F, or a run of 2w bytes, 2w <= ``csv.field_size_limit()``,
+    with no comma or line end: a longer cell would cover one of the aligned
+    w-byte windows checked here."""
     w = max(1, min(csv.field_size_limit(), 1 << 17) // 2)
     with open(path, "rb") as fb:
+        fb.seek(start)
         while block := fb.read(4 * w):
-            if any(c in block for c in _NUMPY_ONLY_SPACE):
+            if any(c in block for c in _STREAMED_ONLY):
                 return False
             for lo in range(0, len(block) - w + 1, w):
                 if all(block.find(c, lo, lo + w) < 0 for c in (b",", b"\n", b"\r")):

@@ -6,38 +6,32 @@ Since every merge can only lower R^2, the last feasible partition in the
 sequence is the answer, and a warm-start variant lets a caller resume the
 same loop from any feasible partition.
 
-The merge loop keeps its candidates in a nearest-neighbour array (Muellner's
-"generic" scheme, arXiv:1109.2378): each group slot i keeps its best partner
-j > i and that pair's R^2 drop, so the next merge is one argmin over k
-slots. After a merge one vectorized pass costs the stale slots (those whose
-group or partner changed) against all k slots. It sets their partners, and
-the rows of the two changed groups offer those groups to every slot below
-them.
+Ward's linkage is reducible, so a nearest-neighbour chain finds the merges
+with one row search over the k live slots per chain step, in O(k) memory
+(Murtagh 1983; Muellner 2011, arXiv:1109.2378, section 3). It works on
+compacted slots, as :func:`stats.merge_in_place` does, and costs every pair
+with one arithmetic, so a merge height has the bits of that pair's drop
+whatever the slot order. A chain step goes to the previous chain element
+whenever that element is among the top's row minima, else to the lowest
+slot among them: Muellner's tie rule, under which the chain's dendrogram is
+one the greedy loop could also build. The merges, sorted by height, are
+then replayed through one bookkeeping and threshold stop, so slot ids,
+``ssb``, ``updates`` and ``on_step`` follow :func:`stats.merge_in_place`,
+and every replayed step is a minimum-drop merge; where a step has several,
+the chain's pick is taken. A merge that round-off puts below a merge that
+formed one of its groups replays after that merge.
 
-A cold start from singletons does not run that loop first. Ward's linkage is
-reducible, so a nearest-neighbour chain builds the same dendrogram with one
-row search over the k live slots per chain step (Murtagh 1983; Muellner 2011,
-section 3). The chain works on compacted slots, as the loop does, and costs
-every pair with the loop's arithmetic, so each merge height has the bits of
-the delta the loop would see. Its merges, sorted by height, are then
-replayed through the loop's own bookkeeping and threshold stop, so slot ids,
-``ssb``, ``updates`` and ``on_step`` follow the loop's rules. The replay is
-the loop's merge sequence only when the greedy choice never hangs on an
-exact tie and round-off never puts a merge below one that formed its child,
-so the cold start screens for both: an exact tie in a chain row's minimum,
-two equal heights, or such an inversion sends it to the loop instead.
-Duplicate rows and integer grids usually take that fallback.
-
-A VNS rebuild runs the same steps from a stored drop matrix instead, the
+A VNS rebuild runs the same loop from a stored drop matrix instead, the
 pairwise dissimilarity matrix of Muellner's generic algorithm (2011, section
 3.1). :func:`drop_matrix` costs the incumbent's upper triangle once, and each
 rebuild copies it, re-costs the rows of the groups a shake changed and keeps
-the partner arrays as the matrix's row minima. A merge then re-costs only the
-merged group's row; every other stale slot takes the argmin of its stored
-row. What is left of the rebuild's matrix at the end is the drop matrix of
-its result, which it hands back for VNS to keep if it accepts the result.
-A matrix over k groups takes 8*k^2 bytes, and a rebuild keeps two alive,
-the incumbent's and its own: 0.25 MB at k = 177, 18.6 MB at k = 1524.
+partner arrays as the matrix's row minima, ties to the lowest slot pair. A
+merge then re-costs only the merged group's row; every other stale slot
+takes the argmin of its stored row. What is left of the rebuild's matrix at
+the end is the drop matrix of its result, which it hands back for VNS to
+keep if it accepts the result. A matrix over k groups takes 8*k^2 bytes, and
+a rebuild keeps two alive, the incumbent's and its own: 0.25 MB at k = 177,
+18.6 MB at k = 1524.
 """
 
 from __future__ import annotations
@@ -52,7 +46,8 @@ from .dataset import Dataset
 from .errors import InfeasibleStartError
 from .stats import Partition
 
-# Pair cells per vectorized partner search; bounds its temporaries (~1 MiB).
+# Pair cells per block of drops costed at once (drop_matrix, a warm start's
+# changed rows) and of chain rows the chain keeps; bounds each to ~1 MiB.
 _BLOCK_CELLS = 1 << 17
 
 
@@ -75,12 +70,10 @@ class _Warm:
 
 
 class _Nearest:
-    """The merge loop's partner arrays over slots 0..k-1, with the float
-    sizes and centroids that every drop is costed from; the chain uses the
-    sizes, centroids and :meth:`drops` alone. The centroids are stored
-    transposed, one row per attribute, so the subtraction in :meth:`drops`
-    runs along slots: at m=3 that is about 3.5 times faster than along the
-    rows of a (k, m) array."""
+    """The float sizes and centroids over slots 0..k-1 that every drop is
+    costed from. The centroids are stored transposed, one row per
+    attribute, so the subtraction in :meth:`drops` runs along slots: at m=3
+    that is about 3.5 times faster than along the rows of a (k, m) array."""
 
     def __init__(self, sizes: np.ndarray, sums: np.ndarray, total: float):
         self.k = len(sizes)
@@ -88,8 +81,6 @@ class _Nearest:
         self.weights = sizes.astype(np.float64)
         self.centroids = np.ascontiguousarray((sums / self.weights[:, None]).T)
         self.slots = np.arange(self.k)
-        self.nn = np.zeros(self.k, dtype=np.int64)
-        self.nd = np.full(self.k, np.inf)
 
     def drops(self, block, lo: int, hi: int | None = None) -> np.ndarray:
         """R^2 drops of merging each slot of ``block`` (an index array or a
@@ -116,56 +107,6 @@ class _Nearest:
         out /= self.total
         return out
 
-    def refresh(self, rows: np.ndarray, offered: np.ndarray | None = None) -> None:
-        """Set nn/nd of each slot in ``rows`` (ascending) from scratch; nd is
-        inf for the top slot. Rows go in blocks of about ``_BLOCK_CELLS``
-        pairs, each against the slots above its lowest row.
-
-        With ``offered`` (a mask over ``rows``) every block spans all k slots
-        instead, and each offered row c is also offered to every slot below
-        it, which takes c if the drop is strictly lower than its own, or
-        equal and c the lower index."""
-        k, nn, nd, slots = self.k, self.nn, self.nd, self.slots
-        m = len(self.centroids)
-        start = 0
-        while start < len(rows):
-            lo = 0 if offered is not None else int(rows[start]) + 1
-            if lo >= k:  # only the top slot is left
-                nd[rows[start:]] = np.inf
-                return
-            step = max(1, _BLOCK_CELLS // ((k - lo) * m))
-            block = rows[start : start + step]
-            drops = self.drops(block, lo)
-            if offered is not None:
-                mine = offered[start : start + step]
-                self._offer(block[mine], drops[mine])
-            drops[slots[lo:k] <= block[:, None]] = np.inf
-            j = drops.argmin(axis=1)
-            nn[block] = lo + j
-            nd[block] = drops[slots[: len(block)], j]
-            start += step
-
-    def _offer(self, offered: np.ndarray, drops: np.ndarray) -> None:
-        """Offer each slot c in ``offered`` (ascending) to the slots below
-        it; row i of ``drops`` holds offered[i]'s drops against every slot."""
-        if len(offered) == 0 or offered[-1] == 0:
-            return
-        top = int(offered[-1])
-        drops = drops[:, :top]
-        drops[self.slots[:top] >= offered[:, None]] = np.inf  # only c > slot
-        best = drops.min(axis=0)
-        c = np.where(drops == best, offered[:, None], top).min(axis=0)  # lowest c
-        nn, nd = self.nn[:top], self.nd[:top]
-        better = (best < nd) | ((best == nd) & (nn > c))
-        np.copyto(nd, best, where=better)
-        np.copyto(nn, c, where=better)
-
-    def best(self) -> tuple[int, int, float]:
-        """The loop's next merge: the lowest slot a with the smallest drop,
-        its partner b > a and that drop."""
-        a = int(self.nd[: self.k].argmin())
-        return a, int(self.nn[a]), float(self.nd[a])
-
     def compact(self, sizes: np.ndarray, sums: np.ndarray, g: int, v: int) -> int:
         """Follow :func:`stats.merge_in_place` of v into g on the weights and
         centroids: g takes the merged group and the last slot moves to v.
@@ -180,34 +121,19 @@ class _Nearest:
             centroids[:, v] = centroids[:, last]
         return last
 
-    def merged(self, sizes: np.ndarray, sums: np.ndarray, g: int, v: int) -> None:
-        """Follow :func:`stats.merge_in_place` of v into g with the last slot
-        k-1 moving to v, then recompute the slots whose group or partner
-        changed; the rest only need to see the two changed groups."""
-        last = self.compact(sizes, sums, g, v)
-        partners = self.nn[:last]
-        stale = (partners == g) | (partners == v)
-        stale[g] = True
-        if v != last:
-            moved = partners == last
-            partners[:v][moved[:v]] = v  # same group, same drop, new slot
-            stale[v:] |= moved[v:]
-            stale[v] = True
-        rows = stale.nonzero()[0]
-        self.refresh(rows, (rows == g) | (rows == v))
-
 
 class _Stored(_Nearest):
     """The merge loop's partner arrays as the row minima of a stored drop
     matrix ``D``: ``D[i, j]`` for i < j is the drop :meth:`drops` gives the
-    pair, and every cell on or below the diagonal is inf. Since those bits do
-    not depend on the row or block a pair is costed in, the argmin of row i
-    over the live slots is the partner :meth:`refresh` would find.
+    pair, and every cell on or below the diagonal is inf. Slot i's partner
+    ``nn[i]`` is the argmin of row i over the live slots, ties to the lowest
+    slot, and ``nd[i]`` is that drop.
 
     It starts from ``warm``, the group sizes and :func:`drop_matrix` of the
     partition that ``sizes`` was shaken from: slots 0..k0-1 are its groups,
     some of them shrunk (the sources), and the slots above are new
-    singletons. Only the rows of those changed slots are costed."""
+    singletons. Only the rows of those changed slots are costed, in blocks
+    of about ``_BLOCK_CELLS`` pairs."""
 
     def __init__(
         self,
@@ -218,13 +144,18 @@ class _Stored(_Nearest):
     ):
         super().__init__(sizes, sums, total)
         sizes0, d0 = warm.sizes, warm.d
-        k0, slots = len(sizes0), self.slots
-        self.d = d = np.empty((self.k, self.k))
+        k, k0, slots = self.k, len(sizes0), self.slots
+        self.d = d = np.empty((k, k))
         d[:k0, :k0] = d0
         changed = np.concatenate((np.flatnonzero(sizes[:k0] != sizes0), slots[k0:]))
-        rows = self.drops(changed, 0)
-        d[changed] = np.where(slots > changed[:, None], rows, np.inf)
-        d[:, changed] = np.where(slots < changed[:, None], rows, np.inf).T
+        step = max(1, _BLOCK_CELLS // (k * len(self.centroids)))
+        for start in range(0, len(changed), step):
+            block = changed[start : start + step]
+            rows = self.drops(block, 0)
+            d[block] = np.where(slots > block[:, None], rows, np.inf)
+            d[:, block] = np.where(slots < block[:, None], rows, np.inf).T
+        self.nn = np.empty(k, dtype=np.int64)
+        self.nd = np.empty(k)
         self._reset(slice(None))
 
     def _reset(self, rows) -> None:
@@ -234,6 +165,12 @@ class _Stored(_Nearest):
         j = near.argmin(axis=1)
         self.nn[rows] = j
         self.nd[rows] = near[self.slots[: len(near)], j]
+
+    def best(self) -> tuple[int, int, float]:
+        """The next merge: the lowest slot a with the smallest drop, its
+        partner b > a and that drop."""
+        a = int(self.nd[: self.k].argmin())
+        return a, int(self.nn[a]), float(self.nd[a])
 
     def merged(self, sizes: np.ndarray, sums: np.ndarray, g: int, v: int) -> None:
         """Follow :func:`stats.merge_in_place` of v into g with the last slot
@@ -304,39 +241,20 @@ def _merge(
     return Partition(assignment, sizes[:k].copy(), sums[:k].copy(), ssb, updates)
 
 
-def _agglomerate(
-    ds: Dataset,
-    p: Partition,
-    r2t: float,
-    on_step: StepCallback | None,
-    warm: _Warm | None = None,
-) -> Partition:
-    """Run the merge loop in place on ``p``'s arrays: from a stored drop
-    matrix when ``warm`` is given, else from the partner arrays alone."""
-    total = stats.sst(ds).total
-    if warm is not None:
-        warm.result = None  # the last rebuild's matrix goes before this one is built
-        source = _Stored(p.sizes, p.sums, total, warm)
-        out = _merge(ds, p, r2t, on_step, source)
-        warm.result = source.d[: source.k, : source.k]
-        return out
-    near = _Nearest(p.sizes, p.sums, total)
-    near.refresh(near.slots)
-    return _merge(ds, p, r2t, on_step, near)
-
-
-def _chain(p: Partition, total: float) -> tuple[np.ndarray, np.ndarray] | None:
+def _chain(p: Partition, total: float) -> tuple[np.ndarray, np.ndarray]:
     """Every merge down to one group, by nearest-neighbour chain from ``p``.
 
     Returns ``(heights, pairs)`` in chain order: merge i joins the groups
     ``pairs[i]`` at R^2 drop ``heights[i]``. Group ids below ``p.k`` are
-    ``p``'s groups and ``p.k + i`` is the group merge i formed. A merge
-    moves the last slot into the freed one, as the loop does, so a chain
-    step costs one row over the live slots. The rows of the chain below the
-    merged pair are kept, within ``_BLOCK_CELLS`` cells, and patched with
-    their drop to the new group, so the next step can reuse them. Returns
-    None as soon as a row's smallest drop is tied, where the loop's
-    tie-break might pick otherwise.
+    ``p``'s groups and ``p.k + i`` is the group merge i formed. A chain step
+    takes the top's row minimum: the previous chain element when it is among
+    the minima, so the top merges with it, else the lowest slot. Each link
+    is then strictly lower than the one before it, and the chain cannot
+    cycle on ties. A merge moves the last slot into the freed one, as
+    :func:`stats.merge_in_place` does, so a chain step costs one row over
+    the live slots. The rows of the chain below the merged pair are kept,
+    within ``_BLOCK_CELLS`` cells, and patched with their drop to the new
+    group, so the next step can reuse them.
     """
     n = p.k
     sizes, sums = p.sizes.copy(), p.sums.copy()
@@ -356,9 +274,8 @@ def _chain(p: Partition, total: float) -> tuple[np.ndarray, np.ndarray] | None:
                 row = rows[-1] = near.drops(slice(top, top + 1), 0)[0]
                 row[top] = np.inf
             j = int(row.argmin())
-            if np.count_nonzero(row == row[j]) > 1:
-                return None
-            if len(stack) > 1 and stack[-2] == j:
+            if len(stack) > 1 and row[stack[-2]] == row[j]:
+                j = stack[-2]
                 break
             stack.append(j)
             rows.append(None)
@@ -391,26 +308,27 @@ def _chain(p: Partition, total: float) -> tuple[np.ndarray, np.ndarray] | None:
     return heights, pairs
 
 
-def _replayable(heights: np.ndarray, pairs: np.ndarray) -> bool:
-    """Whether the chain's merges, sorted by height, are the loop's merge
-    sequence: no two heights are equal, and no merge lies below a merge that
-    formed one of its groups. Ids as in :func:`_chain`."""
-    n = len(heights) + 1
-    ordered = np.sort(heights)
-    if (ordered[1:] == ordered[:-1]).any():
-        return False
-    formed = pairs >= n
-    below = np.broadcast_to(heights[:, None], pairs.shape)[formed]
-    return not (heights[pairs[formed] - n] > below).any()
-
-
 class _Replay:
-    """The chain's merges in height order, as the merge source of
-    :func:`_merge`: each group id is mapped to the slot the loop keeps it in."""
+    """The chain's merges as the merge source of :func:`_merge`, each group
+    id mapped to the slot the merges keep it in.
+
+    They replay in the order of a key: a merge's height, raised to the keys
+    of the merges that formed its groups, so no merge replays before those,
+    even where round-off puts its height an ulp below theirs. Equal keys
+    keep chain order. Each pass raises the key one level, so data without
+    such an inversion takes one pass."""
 
     def __init__(self, heights: np.ndarray, pairs: np.ndarray):
         self.k = n = len(heights) + 1
-        order = np.argsort(heights, kind="stable")
+        formed = pairs >= n
+        child = np.where(formed, pairs - n, 0)
+        key = heights
+        while True:
+            raised = np.maximum(key, np.where(formed, key[child], -np.inf).max(axis=1))
+            if np.array_equal(raised, key):
+                break
+            key = raised
+        order = np.argsort(key, kind="stable")
         self.heights = heights[order]
         self.pairs = pairs[order]
         self.formed = order + n
@@ -434,6 +352,12 @@ class _Replay:
         self.i += 1
 
 
+def _chained(ds: Dataset, p: Partition, r2t: float, on_step: StepCallback | None) -> Partition:
+    """Run the chain from ``p`` and replay its merges in place on ``p``'s
+    arrays, which the caller owns."""
+    return _merge(ds, p, r2t, on_step, _Replay(*_chain(p, stats.sst(ds).total)))
+
+
 def wards_gc(ds: Dataset, r2t: float, on_step: StepCallback | None = None) -> Partition:
     """Minimum-cluster-count greedy agglomeration meeting ``r2t``.
 
@@ -442,18 +366,14 @@ def wards_gc(ds: Dataset, r2t: float, on_step: StepCallback | None = None) -> Pa
     case where the very first merge would already violate the threshold).
 
     The merges come from a nearest-neighbour chain (Murtagh 1983; Muellner
-    2011, section 3), replayed in height order through the loop's stop rule
-    and bookkeeping. When a chain row's smallest drop is tied, two heights
-    are equal, or a merge lies below one that formed its group, the
-    partner-array loop runs instead; both give the same steps otherwise.
+    2011, section 3), replayed in height order through the threshold stop
+    and bookkeeping, in O(n) memory beside the data. Where several pairs
+    share the smallest drop, the chain's pick is merged: the previous chain
+    element when it is among a row's minima, else the lowest slot.
     """
     stats.check_threshold(r2t)
-    total = stats.sst(ds).total  # raises on degenerate data before any work happens
-    p = Partition.singletons(ds)
-    merges = _chain(p, total)
-    if merges is not None and _replayable(*merges):
-        return _merge(ds, p, r2t, on_step, _Replay(*merges))
-    return _agglomerate(ds, p, r2t, on_step)
+    stats.sst(ds)  # raises on degenerate data before any work happens
+    return _chained(ds, Partition.singletons(ds), r2t, on_step)
 
 
 def wards_gc_from(
@@ -467,12 +387,15 @@ def wards_gc_from(
     """Same loop as :func:`wards_gc` but seeded at ``start``.
 
     The seed must itself satisfy the threshold; the result never has more
-    groups than the seed. ``_warm``, for VNS, holds the group sizes and
-    :func:`drop_matrix` of the partition ``start`` was shaken from. With it
-    each merge re-costs one row of a stored drop matrix (Muellner 2011,
-    section 3.1) instead of every stale row, and the result's drop matrix is
-    left in ``_warm.result``; the steps and the result are the same with or
-    without it.
+    groups than the seed. Without ``_warm`` the chain runs from ``start``,
+    in O(k) memory beside the data. ``_warm``, for VNS, holds the group
+    sizes and :func:`drop_matrix` of the partition ``start`` was shaken
+    from. With it each merge re-costs one row of a stored 8*k^2-byte drop
+    matrix (Muellner 2011, section 3.1), and the result's drop matrix is
+    left in ``_warm.result``. A tie there goes to the lowest slot pair, not
+    to the chain's pick, so the steps and the result with and without
+    ``_warm`` agree bit for bit only where no step has two pairs at the
+    smallest drop.
     """
     stats.check_threshold(r2t)
     start_r2 = stats.r2(ds, start)
@@ -480,4 +403,11 @@ def wards_gc_from(
         raise InfeasibleStartError(
             f"warm start has R^2={start_r2:.6f} < threshold {r2t}"
         )
-    return _agglomerate(ds, start.copy(), r2t, on_step, _warm)
+    p = start.copy()
+    if _warm is None:
+        return _chained(ds, p, r2t, on_step)
+    _warm.result = None  # the last rebuild's matrix goes before this one is built
+    source = _Stored(p.sizes, p.sums, stats.sst(ds).total, _warm)
+    out = _merge(ds, p, r2t, on_step, source)
+    _warm.result = source.d[: source.k, : source.k]
+    return out

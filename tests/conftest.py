@@ -37,16 +37,20 @@ def random_partition(rng, ds, max_k=None):
 
 @st.composite
 def tie_heavy_dataset(draw, min_n=4, max_n=24, m_range=(1, 3)):
-    """Duplicate rows or small-integer grid points: many exactly equal
-    distances and merge deltas, so tie-breaks decide the solvers' choices."""
+    """Duplicate rows, small-integer grid points or normal values rounded to
+    0.1: many exactly equal distances and merge deltas, so tie-breaks decide
+    the solvers' choices."""
     n = draw(st.integers(min_n, max_n))
     m = draw(st.integers(*m_range))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["duplicates", "grid", "rounded"]))
+    if kind == "duplicates":
         distinct = rng.normal(size=(max(2, n // 3), m))
         values = distinct[rng.integers(0, len(distinct), size=n)]
-    else:
+    elif kind == "grid":
         values = rng.integers(0, 4, size=(n, m)).astype(np.float64)
+    else:
+        values = np.round(rng.normal(size=(n, m)), 1)
     assume(np.ptp(values, axis=0).max() > 0)
     return Dataset(values)
 

@@ -478,6 +478,28 @@ def test_float_only_files_take_the_fallback(monkeypatch, tmp_path, text):
 
 
 @pytest.mark.parametrize(
+    "text, c_parses",
+    [("x,y\n" + "1,2\n" * 50 + '3,"4"\n', 0), ('"x","y"\n1,2\n3,4\n', 1)],
+    ids=["late-quote", "quoted-header"],
+)
+def test_a_quote_after_the_header_skips_the_c_parse(monkeypatch, tmp_path, text, c_parses):
+    # a quoted cell anywhere in the rows goes straight to the streamed pass,
+    # which reads it; a quoted header does not count, since numpy skips it
+    path = tmp_path / "q.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    calls = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    assert _loaded_or_fault(lambda p: load_csv(p).values, path) == _loaded_or_fault(load_csv_scan, path)
+    assert len(calls) == c_parses
+
+
+@pytest.mark.parametrize(
     "text, expect",
     [("x,y\n1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]), ("x,y\n1,2\n3,z\n", "row 3, column 2: 'z' is not a finite number")],
     ids=["valid", "fault"],

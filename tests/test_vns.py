@@ -241,7 +241,8 @@ def test_equal_k_round_off_gain_is_rejected():
 @pytest.mark.parametrize("duplicates", [False, True])
 def test_warm_rebuilds_match_cold_rebuilds(monkeypatch, starter, duplicates):
     # Every rebuild resumes from the incumbent's stored drop matrix; forcing
-    # cold rebuilds must not change a single decision of the search.
+    # cold rebuilds, each from a fresh drop_matrix of the shaken partition,
+    # must not change a single decision of the search.
     rng = np.random.default_rng(17)
     values = rng.normal(size=(60, 3))
     if duplicates:
@@ -259,7 +260,8 @@ def test_warm_rebuilds_match_cold_rebuilds(monkeypatch, starter, duplicates):
 
     def cold(ds, start, r2t, on_step=None, *, _warm=None):
         offered.append(_warm is not None)
-        return resume(ds, start, r2t, on_step)
+        fresh = ward._Warm(start.sizes, ward.drop_matrix(ds, start))
+        return resume(ds, start, r2t, on_step, _warm=fresh)
 
     monkeypatch.setattr(ward, "wards_gc_from", cold)
     assert outcome() == warm

@@ -1,4 +1,3 @@
-import contextlib
 import math
 
 import numpy as np
@@ -26,7 +25,7 @@ from gcluster import (
 from gcluster.dataset import Distribution, InstanceSpec
 
 from conftest import dataset_with_partition, random_partition, small_dataset, tie_heavy_dataset
-from ward_reference import best_merge_scan
+from ward_reference import best_merge_scan, chain_reference, pair_drop
 
 
 def test_hand_trace_three_points():
@@ -153,6 +152,8 @@ def test_merge_sequence_is_hierarchical():
 
 
 def _scan_checker(ds):
+    """An on_step callback asserting the scan's choice: the smallest drop,
+    ties to the lowest (a, b) pair, as the stored-matrix merges take it."""
     steps = []
 
     def check(p, a, b, delta, applied):
@@ -164,10 +165,31 @@ def _scan_checker(ds):
     return check, steps
 
 
+def _admissible_checker(ds):
+    """An on_step callback asserting a minimum-drop merge, as the chain
+    takes it: the pair's drop and the step's delta are both the scan's
+    smallest drop, bit for bit, whichever tied pair was picked."""
+    steps = []
+
+    def check(p, a, b, delta, applied):
+        assert 0 <= a < b < p.k
+        assert best_merge_scan(ds, p).delta == delta
+        assert pair_drop(ds, p, a, b) == delta
+        steps.append(applied)
+
+    return check, steps
+
+
+def _fresh(ds, p):
+    """A warm start from ``p``'s own drop matrix: the stored-matrix merges
+    from ``p`` with nothing re-costed."""
+    return ward._Warm(p.sizes, ward.drop_matrix(ds, p))
+
+
 @settings(max_examples=60, deadline=None)
 @given(tie_heavy_dataset(), st.sampled_from([0.2, 0.5, 0.8, 0.95]))
 def test_tie_heavy_merges_match_scan(ds, r2t):
-    check, steps = _scan_checker(ds)
+    check, steps = _admissible_checker(ds)
     wards_gc(ds, r2t, on_step=check)
     assert steps
 
@@ -185,8 +207,12 @@ def test_warm_start_from_shaken_partition_matches_scan(ds, seed, r2t):
     r = min(3, ds.n - start.k)
     assume(r >= 1)
     shaken = shake(ds, start, r, np.random.default_rng(seed))
-    check, steps = _scan_checker(ds)
+    check, steps = _admissible_checker(ds)
     out = wards_gc_from(ds, shaken, r2t, on_step=check)
+    assert steps and out.k <= shaken.k
+    # from the incumbent's stored matrix, ties go to the lowest pair
+    check, steps = _scan_checker(ds)
+    out = wards_gc_from(ds, shaken, r2t, on_step=check, _warm=_fresh(ds, start))
     assert steps and out.k <= shaken.k
 
 
@@ -228,7 +254,8 @@ def _stored_checker(ds, source):
 def test_warm_rebuild_matches_cold_rebuild(ds, seed, r2t, messy):
     # VNS starts each rebuild from the incumbent's stored drop matrix; after
     # every merge the matrix must be the one a fresh drop_matrix gives, and
-    # every step and the result those of the cold rebuild, bit for bit.
+    # every step and the result those of a rebuild from the shaken
+    # partition's own fresh drop_matrix, bit for bit.
     # A Ward incumbent is the vns-wards case. A random one stands in for the
     # k-means starter's, whose groups Ward would not build: there a shrunk
     # group can be a worse partner than before, which only a reset of the
@@ -250,7 +277,9 @@ def test_warm_rebuild_matches_cold_rebuild(ds, seed, r2t, messy):
         ward._merge(ds, start, r2t, check, source)
         assert seen
 
-        cold_steps, cold = _recorded(lambda cb: wards_gc_from(ds, shaken, r2t, cb))
+        cold_steps, cold = _recorded(
+            lambda cb: wards_gc_from(ds, shaken, r2t, cb, _warm=_fresh(ds, shaken))
+        )
         warm_steps, out = _recorded(lambda cb: wards_gc_from(ds, shaken, r2t, cb, _warm=warm))
         assert warm_steps == cold_steps
         for name in ("assignment", "sizes", "sums"):
@@ -280,77 +309,103 @@ def test_warm_start_from_the_unshaken_incumbent_matches_cold_start():
 
 @pytest.mark.parametrize("duplicates", [False, True])
 def test_one_row_blocks_match_default_blocks(monkeypatch, duplicates):
-    # With one row per block the cold search ends on a block that holds only
-    # the top slot, which has no partner above it.
+    # With one row per block drop_matrix ends on a block that holds only
+    # the top slot, which has no partner above it, and a warm rebuild costs
+    # its changed rows one at a time.
     ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 60, 3, 5)))
     if duplicates:
         ds = Dataset(np.repeat(np.round(ds.values[:20], 1), 3, axis=0))
     wards = wards_gc(ds, 0.7)
     starts = (Partition.singletons(ds), wards)
     default = [ward.drop_matrix(ds, p) for p in starts]
+    warm = _fresh(ds, wards)
+    shaken = shake(ds, wards, 5, np.random.default_rng(5))
 
+    def rebuild():
+        steps, out = _recorded(lambda cb: wards_gc_from(ds, shaken, 0.7, cb, _warm=warm))
+        return steps, out.assignment.tobytes(), warm.result.tobytes()
+
+    rebuilt = rebuild()
     monkeypatch.setattr(ward, "_BLOCK_CELLS", 1)
     again = wards_gc(ds, 0.7)
     assert again.assignment.tobytes() == wards.assignment.tobytes()
     assert float(again.ssb).hex() == float(wards.ssb).hex()
     for p, before in zip(starts, default):
         assert ward.drop_matrix(ds, p).tobytes() == before.tobytes()
+    assert rebuild() == rebuilt
 
 
-# Cold starts: the nearest-neighbour chain, its screen, and the fallback loop.
+# Cold starts: the nearest-neighbour chain and its replay.
+
+
+def _replayed(heights, pairs):
+    """The chain merges, by chain index, in the order ``_Replay`` hands them
+    out, and the deltas it reports for them."""
+    replay = ward._Replay(np.array(heights), np.array(pairs))
+    return (replay.formed - len(heights) - 1).tolist(), replay.heights.tolist()
 
 
 def test_replay_screen_passes_distinct_heights_above_their_children():
     # merges 0 and 1 join singletons; merge 2 joins the groups they formed
-    pairs = np.array([[0, 1], [2, 3], [4, 5]])
-    assert ward._replayable(np.array([1.0, 2.0, 3.0]), pairs)
-    assert ward._replayable(np.array([2.0, 1.0, 3.0]), pairs)  # chain order is free
-    assert ward._replayable(np.array([0.0, 0.5]), np.array([[0, 1], [2, 3]]))
+    pairs = [[0, 1], [2, 3], [4, 5]]
+    assert _replayed([1.0, 2.0, 3.0], pairs) == ([0, 1, 2], [1.0, 2.0, 3.0])
+    assert _replayed([2.0, 1.0, 3.0], pairs) == ([1, 0, 2], [1.0, 2.0, 3.0])  # chain order is free
+    assert _replayed([0.0, 0.5], [[0, 1], [2, 3]]) == ([0, 1], [0.0, 0.5])
 
 
 def test_replay_screen_rejects_an_exact_tie():
-    pairs = np.array([[0, 1], [2, 3], [4, 5]])
-    assert not ward._replayable(np.array([1.0, 1.0, 3.0]), pairs)
-    assert not ward._replayable(np.array([1.0, 3.0, 3.0]), pairs)
+    # equal heights replay in chain order
+    pairs = [[0, 1], [2, 3], [4, 5]]
+    assert _replayed([1.0, 1.0, 3.0], pairs)[0] == [0, 1, 2]
+    assert _replayed([1.0, 3.0, 3.0], pairs)[0] == [0, 1, 2]
+    assert _replayed([2.0, 1.0, 1.0], [[0, 1], [2, 3], [4, 5]])[0] == [1, 0, 2]
+    assert _replayed([1.0, 1.0, 1.0], [[2, 3], [0, 1], [4, 5]])[0] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("pairs", [[[0, 1], [3, 2]], [[0, 1], [2, 3]]])
 def test_replay_screen_rejects_a_merge_below_its_child(pairs):
-    # merge 1 joins the group merge 0 formed (id 3) with singleton 2, lower
-    assert not ward._replayable(np.array([2.0, 1.0]), np.array(pairs))
+    # merge 1 joins the group merge 0 formed (id 3) with singleton 2, lower:
+    # it replays after merge 0 and still reports its own height
+    assert _replayed([2.0, 1.0], pairs) == ([0, 1], [2.0, 1.0])
+
+
+def test_replay_puts_a_merge_an_ulp_below_its_child_after_it():
+    # Merges 1, 2 and 3 each lie below the merge that formed one of their
+    # groups, 1 and 2 by an ulp, so the key rises over three passes.
+    h = 1.0
+    below = np.nextafter(h, 0.0)
+    lower = np.nextafter(below, 0.0)
+    pairs = [[0, 1], [5, 2], [6, 3], [4, 7]]
+    assert _replayed([h, below, lower, 0.5], pairs) == ([0, 1, 2, 3], [h, below, lower, 0.5])
+    # a raised merge still replays after a free merge that lies between
+    # its own height and its child's
+    pairs = [[0, 1], [5, 2], [3, 4], [6, 7]]
+    assert _replayed([1.0, 0.75, 0.9, 2.0], pairs)[0] == [2, 0, 1, 3]
 
 
 def _assert_same_run(ds, r2t):
-    """wards_gc and the partner-array loop agree bit for bit: every on_step
-    call and the returned partition. Returns the loop's steps."""
+    """wards_gc and the stored-matrix merges from singletons agree bit for
+    bit: every on_step call and the returned partition. Returns the steps."""
     cold_steps, cold = _recorded(lambda cb: wards_gc(ds, r2t, cb))
-    loop_steps, loop = _recorded(
-        lambda cb: ward._agglomerate(ds, Partition.singletons(ds), r2t, cb)
+    singletons = Partition.singletons(ds)
+    stored_steps, stored = _recorded(
+        lambda cb: wards_gc_from(ds, singletons, r2t, cb, _warm=_fresh(ds, singletons))
     )
-    assert cold_steps == loop_steps
+    assert cold_steps == stored_steps
     for name in ("assignment", "sizes", "sums"):
-        assert getattr(cold, name).tobytes() == getattr(loop, name).tobytes()
-    assert float(cold.ssb).hex() == float(loop.ssb).hex()
-    assert cold.updates == loop.updates
-    return loop_steps
+        assert getattr(cold, name).tobytes() == getattr(stored, name).tobytes()
+    assert float(cold.ssb).hex() == float(stored.ssb).hex()
+    assert cold.updates == stored.updates
+    return stored_steps
 
 
-@contextlib.contextmanager
-def _counted_loop():
-    """Count the calls of the partner-array loop, which a cold start makes
-    only when it falls back; yields the list the calls are appended to."""
-    calls = []
-    loop = ward._agglomerate
-
-    def spy(*args, **kwargs):
-        calls.append(args[1].k)
-        return loop(*args, **kwargs)
-
-    ward._agglomerate = spy
-    try:
-        yield calls
-    finally:
-        ward._agglomerate = loop
+def _assert_reference_chain(p, total):
+    """``ward._chain`` from ``p`` equals the reference chain bit for bit."""
+    got = ward._chain(p, total)
+    want = chain_reference(p, total)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    return got
 
 
 @pytest.mark.parametrize(
@@ -366,12 +421,10 @@ def _counted_loop():
     ],
 )
 def test_chain_replay_matches_loop(dist, n, m, seed):
+    # on continuous data the chain's replay is the stored-matrix merge loop
     ds = standardize(generate(InstanceSpec(dist, n, m, seed)))
     first_rejected = reaches_one = False
     for r2t in (1e-13, 0.3, 0.6, 0.8, 0.95, np.nextafter(1.0, 0.0)):
-        with _counted_loop() as fallbacks:
-            wards_gc(ds, r2t)
-        assert fallbacks == []
         steps = _assert_same_run(ds, r2t)
         first_rejected |= not steps[0][3]
         reaches_one |= all(step[3] for step in steps)
@@ -381,9 +434,6 @@ def test_chain_replay_matches_loop(dist, n, m, seed):
 def test_chain_replay_resyncs_like_the_loop(monkeypatch):
     monkeypatch.setattr(stats, "SSB_RESYNC_INTERVAL", 5)
     ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 80, 3, 8)))
-    with _counted_loop() as fallbacks:
-        wards_gc(ds, 0.3)
-    assert fallbacks == []
     steps = _assert_same_run(ds, 0.3)
     assert len(steps) > 10 and max(step[5] for step in steps) == 4
 
@@ -401,43 +451,68 @@ def test_one_row_budget_keeps_chain_rows_exact(monkeypatch):
     _assert_same_run(ds, 0.6)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(tie_heavy_dataset(min_n=2, max_n=30), small_dataset(min_n=2, max_n=30)),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_chain_matches_reference_chain(ds, seed, from_singletons):
+    # the tie rule pinned: the previous chain element when it is among a
+    # row's minima, else the lowest slot; from singletons or any partition
+    rng = np.random.default_rng(seed)
+    start = Partition.singletons(ds) if from_singletons else random_partition(rng, ds)
+    _assert_reference_chain(start, stats.sst(ds).total)
+
+
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_integer_grids_and_duplicates_fall_back_to_the_loop(seed):
+    # Grids and duplicate rows tie at almost every step. They run the chain
+    # with its own tie rule, and every replayed step is a minimum-drop merge.
     rng = np.random.default_rng(seed)
     grid = Dataset(rng.integers(0, 4, size=(200, 2)).astype(np.float64))
     duplicated = Dataset(np.repeat(rng.normal(size=(30, 3)), 2, axis=0))
-    with _counted_loop() as fallbacks:
-        for ds in (grid, duplicated):
-            wards_gc(ds, 0.6)
-    assert fallbacks == [200, 60]
+    for ds in (grid, duplicated):
+        _assert_reference_chain(Partition.singletons(ds), stats.sst(ds).total)
+        check, steps = _admissible_checker(ds)
+        wards_gc(ds, 0.6, on_step=check)
+        assert steps
 
 
 def test_tied_row_minimum_falls_back_to_the_loop():
-    # Slot 2 (value 1) is as near to slot 1 as to slot 3. The heights are
-    # distinct, so only the tie in that row tells the chain that its pick
-    # can differ from the loop's lowest-pair tie-break.
+    # Slot 2 (value 1) is as near to slot 1 as to slot 3. The chain reaches
+    # it from slot 3, so it merges 2 with 3, its previous element; the
+    # stored-matrix merges take the lowest pair (1, 2) instead.
     ds = Dataset(np.array([[10.0], [0.0], [1.0], [2.0]]))
-    assert ward._chain(Partition.singletons(ds), stats.sst(ds).total) is None
-    with _counted_loop() as fallbacks:
-        wards_gc(ds, 0.9)
-    assert fallbacks == [4]
+    total = stats.sst(ds).total
+    heights, pairs = _assert_reference_chain(Partition.singletons(ds), total)
+    assert pairs[0].tolist() == [2, 3]
+    assert heights[0] == pair_drop(ds, Partition.singletons(ds), 1, 2)
+    chain_steps, _ = _recorded(lambda cb: wards_gc(ds, 0.9, cb))
+    singletons = Partition.singletons(ds)
+    stored_steps, _ = _recorded(
+        lambda cb: wards_gc_from(ds, singletons, 0.9, cb, _warm=_fresh(ds, singletons))
+    )
+    assert chain_steps[0][:3] == (2, 3, float(heights[0]).hex())
+    assert stored_steps[0][:3] == (1, 2, float(heights[0]).hex())
 
 
 @settings(max_examples=60, deadline=None)
 @given(tie_heavy_dataset(), st.sampled_from([0.2, 0.5, 0.8, 0.95]))
 def test_tie_heavy_cold_starts_fall_back_when_the_loop_meets_a_tie(ds, r2t):
-    # A tie-heavy draw whose chain has no tied row, equal heights or
-    # inversion takes the chain; then no choice of the loop hung on a tie.
+    # Every step of a tie-heavy cold start is a minimum-drop merge. Where no
+    # step had two pairs at the smallest drop, no choice hung on a tie, and
+    # the run is the stored-matrix merges' run bit for bit.
     total = stats.sst(ds).total
     tied = []
+    admissible, _ = _admissible_checker(ds)
 
     def check(p, a, b, delta, applied):
+        admissible(p, a, b, delta, applied)
         drops = ward._Nearest(p.sizes, p.sums, total).drops(np.arange(p.k), 0)
         drops[np.tril_indices(p.k)] = np.inf
         tied.append(np.count_nonzero(drops == drops.min()) > 1)
 
-    with _counted_loop() as fallbacks:
-        wards_gc(ds, r2t, on_step=check)
-    if any(tied):
-        assert fallbacks == [ds.n]
-    _assert_same_run(ds, r2t)
+    wards_gc(ds, r2t, on_step=check)
+    if not any(tied):
+        _assert_same_run(ds, r2t)
