@@ -34,7 +34,6 @@ from .kmeans import (
     BisectionProbe,
     KmeansResult,
     MedoidSolution,
-    kmeans,
     kmeans_gc,
     pmedian_greedy,
     pmedian_local_search,
@@ -46,9 +45,7 @@ from .stats import (
     apply_merge,
     apply_removal,
     evaluate,
-    merge_delta,
     r2,
-    removal_effect,
     sst,
 )
 from .vns import Starter, Termination, VnsConfig, VnsTrace, shake, vns_gc
@@ -83,15 +80,12 @@ __all__ = [
     "gc_brute_force",
     "generate",
     "instance_name",
-    "kmeans",
     "kmeans_gc",
     "load_csv",
-    "merge_delta",
     "pmedian_greedy",
     "pmedian_local_search",
     "preset_specs",
     "r2",
-    "removal_effect",
     "render_table",
     "rows_to_csv",
     "run_algorithm",

@@ -193,33 +193,28 @@ def run_suite(
                     outcome = run_algorithm(
                         ds, algo, r2t, dataclasses.replace(cfg, seed=spec.seed)
                     )
-                    elapsed = time.perf_counter() - t0
-                    row = BenchRow(
+                    error = None
+                except (DataError, SolverError) as exc:
+                    outcome, error = None, str(exc)
+                elapsed = time.perf_counter() - t0
+                summary = None if outcome is None else outcome.summary
+                rows.append(
+                    BenchRow(
                         instance=name,
                         r2t=r2t,
                         algorithm=algo,
-                        k=outcome.partition.k,
-                        r2=outcome.summary.r2,
+                        k=0 if outcome is None else outcome.partition.k,
+                        r2=math.nan if summary is None else summary.r2,
                         elapsed_seconds=elapsed,
                         seed=spec.seed,
                         r2_per_attribute=(
-                            tuple(float(v) for v in outcome.summary.r2_per_attribute)
-                            if with_attribute_r2
+                            tuple(float(v) for v in summary.r2_per_attribute)
+                            if summary is not None and with_attribute_r2
                             else None
                         ),
+                        error=error,
                     )
-                except (DataError, SolverError) as exc:
-                    row = BenchRow(
-                        instance=name,
-                        r2t=r2t,
-                        algorithm=algo,
-                        k=0,
-                        r2=math.nan,
-                        elapsed_seconds=time.perf_counter() - t0,
-                        seed=spec.seed,
-                        error=str(exc),
-                    )
-                rows.append(row)
+                )
     return rows
 
 

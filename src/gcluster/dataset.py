@@ -3,12 +3,13 @@
 A :class:`Dataset` is an immutable n x m float matrix (rows = elements,
 columns = attributes). Everything downstream (variance bookkeeping and the
 solvers) reads it but never writes it, so one Dataset can back any number of
-concurrent solver runs.
+concurrent solver runs; only its SST summary is cached on it, once.
 """
 
 from __future__ import annotations
 
 import array
+import codecs
 import csv
 import enum
 from dataclasses import dataclass, field
@@ -70,7 +71,8 @@ class Dataset:
 
     ``column_means``/``column_sds`` record the transform applied by
     :func:`standardize` (sample sd, n-1 denominator). ``degenerate_columns``
-    lists columns that were constant and have been zeroed out.
+    lists columns that were constant and have been zeroed out. ``_sst`` is
+    where :func:`stats.sst` caches its summary of the matrix on first use.
     """
 
     values: np.ndarray
@@ -78,6 +80,7 @@ class Dataset:
     column_means: np.ndarray | None = None
     column_sds: np.ndarray | None = None
     degenerate_columns: tuple[int, ...] = field(default=())
+    _sst: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if isinstance(self.values, _Owned):
@@ -211,10 +214,11 @@ def load_csv(path) -> Dataset:
     cells), and the one that names the first fault in row-major order in a
     :class:`DataError`. Both give every cell the bits ``float`` gives it.
     A stream that cannot be read twice, such as a pipe, takes the streamed
-    pass alone.
+    pass alone. A leading UTF-8 byte-order mark, which Excel's "CSV UTF-8"
+    writes, is not part of the first cell.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = filter(None, reader)
             first = next(rows, [])
@@ -247,7 +251,7 @@ def _parse_in_c(path, header_lines: int, m: int) -> np.ndarray | None:
     lines of a handle opened here: given a path, it would decompress by the
     file's extension.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header = "".join(islice(fh, header_lines))
         if not _c_reader_agrees(path, len(header.encode("utf-8"))):
             return None
@@ -261,12 +265,15 @@ def _parse_in_c(path, header_lines: int, m: int) -> np.ndarray | None:
 
 
 def _c_reader_agrees(path, start: int) -> bool:
-    """False if the file from byte ``start`` on has a quote, a byte
+    """False if the file's text from byte ``start`` on has a quote, a byte
     U+001C..U+001F, or a run of 2w bytes, 2w <= ``csv.field_size_limit()``,
     with no comma or line end: a longer cell would cover one of the aligned
-    w-byte windows checked here."""
+    w-byte windows checked here. The text starts after a byte-order mark,
+    so the file offset counts the mark's 3 bytes."""
     w = max(1, min(csv.field_size_limit(), 1 << 17) // 2)
     with open(path, "rb") as fb:
+        if fb.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8:
+            start += len(codecs.BOM_UTF8)
         fb.seek(start)
         while block := fb.read(4 * w):
             if any(c in block for c in _STREAMED_ONLY):

@@ -213,7 +213,7 @@ class _GreedyOpening:
     last one opened: the newest opening is folded in only when the next one
     is needed.
 
-    The p-th opening leaves :meth:`solution` its ranking window: the
+    The p-th opening leaves :meth:`solve` its ranking window: the
     columns whose running score is within ``tol`` of the r-th smallest,
     r = min(2p + 1, n - p + 1). The p - 1 medoids already open score inf,
     so they rank last and are never in it.
@@ -265,10 +265,6 @@ class _GreedyOpening:
                 scores[lo:hi] -= gain.sum(axis=0)
         self.d = d_new
 
-    def solution(self, p: int) -> MedoidSolution:
-        """The greedy p-median solution (see :meth:`solve`)."""
-        return self.solve(p)[0]
-
     def solve(self, p: int) -> tuple[MedoidSolution, tuple[np.ndarray, ...]]:
         """The greedy p-median solution: the first p openings, and as swap
         candidates the 2p runners-up in the exact order of opening costs
@@ -309,17 +305,18 @@ def pmedian_greedy(ds: Dataset, p: int) -> MedoidSolution:
     runners-up of the final iteration as swap candidates.
 
     This is one prefix of the shared opening sequence (see
-    :class:`_GreedyOpening`): the search in :func:`kmeans_gc` builds the
-    sequence once and takes every probe's prefix from it. A prefix is exact
+    :class:`_GreedyOpening`), built for this call alone. :func:`kmeans_gc`
+    does not call this function: it builds the sequence once and takes every
+    probe's prefix from it with :meth:`_GreedyOpening.solve`. A prefix is exact
     because each opening is confirmed with exact costs whose bits match a
     full pass, and the lowest index among the exact minima opens whatever p
     is, so the p-th medoid is the one a loop stopping at p would open. The
     runners-up are ranked by the same exact costs over the window that the
-    p-th opening kept (see :meth:`_GreedyOpening.solution`). Both rest on
+    p-th opening kept (see :meth:`_GreedyOpening.solve`). Both rest on
     the screening windows holding the exact minima, which the bound on the
     running costs' rounding guarantees up to n of about 10^6.
     """
-    return _GreedyOpening(ds).solution(p)
+    return _GreedyOpening(ds).solve(p)[0]
 
 
 def pmedian_local_search(

@@ -16,7 +16,6 @@ from-scratch recomputation.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,20 +59,16 @@ def meets_threshold(r2_value, r2t: float):
     return r2_value >= r2t - THRESHOLD_EPS
 
 
-_SST_CACHE: "weakref.WeakKeyDictionary[Dataset, SstSummary]" = weakref.WeakKeyDictionary()
-
-
 def sst(ds: Dataset) -> SstSummary:
     """Per-attribute and total sum of squares around the grand mean.
 
-    Cached per Dataset instance. Raises :class:`DegenerateDataError` when
+    Cached on the Dataset it describes. Raises :class:`DegenerateDataError` when
     every attribute's variance is negligible (at most 1e-12 of the
     attribute's scale): SST is then 0 up to round-off and R^2 is undefined.
     Identical rows are the common case, but not the only one.
     """
-    cached = _SST_CACHE.get(ds)
-    if cached is not None:
-        return cached
+    if ds._sst is not None:
+        return ds._sst
     means = ds.values.mean(axis=0)
     per = np.sum((ds.values - means) ** 2, axis=0)
     scale = np.maximum(np.abs(ds.values).max(axis=0), 1.0)
@@ -88,7 +83,7 @@ def sst(ds: Dataset) -> SstSummary:
     means.setflags(write=False)
     degenerate.setflags(write=False)
     summary = SstSummary(total, per, means, degenerate)
-    _SST_CACHE[ds] = summary
+    object.__setattr__(ds, "_sst", summary)  # the Dataset is frozen
     return summary
 
 
@@ -109,11 +104,13 @@ class Partition:
     incrementally: each update adds its exact SSB change and passes the
     result through :func:`resynced`.
 
-    Each update has one implementation here. :func:`merge_in_place` merges
-    on the arrays, which the Ward loop owns; :func:`apply_removals` isolates
-    a list of elements on arrays it allocates once. :func:`apply_merge` and
-    :func:`apply_removal` wrap them for one step and, like every function
-    that takes a partition, never mutate their input.
+    Each update has one implementation here, and the solvers run it
+    directly: Ward costs a merge with :func:`merge_drop` and applies it with
+    :func:`merge_in_place` on arrays it owns, and a shake isolates its
+    elements with :func:`apply_removals` on arrays it allocates once.
+    :func:`apply_merge` and :func:`apply_removal` are their one-step forms,
+    which no solver calls; like every function that takes a partition, they
+    never mutate their input.
     """
 
     __slots__ = ("assignment", "sizes", "sums", "ssb", "updates")
@@ -157,10 +154,6 @@ class Partition:
     @classmethod
     def singletons(cls, ds: Dataset) -> "Partition":
         return cls.from_labels(ds, np.arange(ds.n, dtype=np.int64))
-
-    @classmethod
-    def single_group(cls, ds: Dataset) -> "Partition":
-        return cls.from_labels(ds, np.zeros(ds.n, dtype=np.int64))
 
     def validate(self, ds: Dataset) -> None:
         """Check structural invariants plus the cached-SSB agreement; raise
@@ -238,13 +231,6 @@ def merge_drop(sizes: np.ndarray, sums: np.ndarray, a: int, b: int) -> float:
     return sa * sb / (sa + sb) * float(diff @ diff)
 
 
-def merge_delta(ds: Dataset, p: Partition, a: int, b: int) -> float:
-    """Exact R^2 drop from merging groups a and b (always >= 0), in O(m)."""
-    if a == b:
-        raise ValueError("cannot merge a group with itself")
-    return merge_drop(p.sizes, p.sums, a, b) / sst(ds).total
-
-
 def merge_in_place(
     assignment: np.ndarray, sizes: np.ndarray, sums: np.ndarray, g: int, v: int, last: int
 ) -> None:
@@ -287,11 +273,6 @@ def _removal_gain(
         raise ValueError(f"element {elem} is already in a singleton group")
     diff = sums[a] / sa - ds.values[elem]
     return sa / (sa - 1.0) * float(diff @ diff)
-
-
-def removal_effect(ds: Dataset, p: Partition, elem: int) -> float:
-    """Exact R^2 gain from moving ``elem`` into a new singleton group."""
-    return _removal_gain(ds, p.assignment, p.sizes, p.sums, elem) / sst(ds).total
 
 
 def apply_removals(ds: Dataset, p: Partition, elems: Sequence[int]) -> Partition:

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kmeans as kmeans_mod
-from . import stats, ward
+from . import kmeans, stats, ward
 from .dataset import Dataset
 from .stats import Partition
 
@@ -154,7 +153,7 @@ def shake(
 def _run_starter(ds: Dataset, r2t: float, starter: Starter) -> Partition:
     if starter is Starter.WARDS:
         return ward.wards_gc(ds, r2t)
-    return kmeans_mod.kmeans_gc(ds, r2t)
+    return kmeans.kmeans_gc(ds, r2t)
 
 
 def vns_gc(ds: Dataset, r2t: float, cfg: VnsConfig) -> tuple[Partition, VnsTrace]:
@@ -193,10 +192,8 @@ def vns_gc(ds: Dataset, r2t: float, cfg: VnsConfig) -> tuple[Partition, VnsTrace
         gained = rebuilt_r2 > best_r2 + stats.THRESHOLD_EPS
         if rebuilt.k < p_star.k or (rebuilt.k == p_star.k and gained):
             p_star = rebuilt
-            # a warm rebuild hands back its result's drop matrix; one that
-            # did not run warm (a substituted rebuild) leaves none
-            d = ward.drop_matrix(ds, p_star) if warm.result is None else warm.result
-            warm = ward._Warm(p_star.sizes, d)
+            # a warm rebuild hands back its result's drop matrix
+            warm = ward._Warm(p_star.sizes, warm.result)
             ranking = _rank(ds, p_star)
             best_r2 = rebuilt_r2
             trace.improvements += 1

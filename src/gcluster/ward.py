@@ -23,7 +23,7 @@ formed one of its groups replays after that merge.
 
 A VNS rebuild runs the same loop from a stored drop matrix instead, the
 pairwise dissimilarity matrix of Muellner's generic algorithm (2011, section
-3.1). :func:`drop_matrix` costs the incumbent's upper triangle once, and each
+3.1). :func:`drop_matrix` costs the incumbent's pairs once, and each
 rebuild copies it, re-costs the rows of the groups a shake changed and keeps
 partner arrays as the matrix's row minima, ties to the lowest slot pair. A
 merge then re-costs only the merged group's row; every other stale slot
@@ -46,8 +46,8 @@ from .dataset import Dataset
 from .errors import InfeasibleStartError
 from .stats import Partition
 
-# Pair cells per block of drops costed at once (drop_matrix, a warm start's
-# changed rows) and of chain rows the chain keeps; bounds each to ~1 MiB.
+# Floats, about 1 MiB: the (pairs, m) difference temporary of a block of
+# stored-matrix rows costed at once, and the chain rows the chain keeps.
 _BLOCK_CELLS = 1 << 17
 
 
@@ -107,6 +107,18 @@ class _Nearest:
         out /= self.total
         return out
 
+    def cost_rows(self, d: np.ndarray, rows: np.ndarray) -> None:
+        """Set the row and column of each of ``rows`` in the drop matrix
+        ``d``: drops above the diagonal, inf on and below it. Full rows are
+        costed in blocks of about ``_BLOCK_CELLS`` floats, then masked."""
+        slots = self.slots
+        step = max(1, _BLOCK_CELLS // (self.k * len(self.centroids)))
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            drops = self.drops(block, 0)
+            d[block] = np.where(slots > block[:, None], drops, np.inf)
+            d[:, block] = np.where(slots < block[:, None], drops, np.inf).T
+
     def compact(self, sizes: np.ndarray, sums: np.ndarray, g: int, v: int) -> int:
         """Follow :func:`stats.merge_in_place` of v into g on the weights and
         centroids: g takes the merged group and the last slot moves to v.
@@ -132,8 +144,7 @@ class _Stored(_Nearest):
     It starts from ``warm``, the group sizes and :func:`drop_matrix` of the
     partition that ``sizes`` was shaken from: slots 0..k0-1 are its groups,
     some of them shrunk (the sources), and the slots above are new
-    singletons. Only the rows of those changed slots are costed, in blocks
-    of about ``_BLOCK_CELLS`` pairs."""
+    singletons. Only the rows of those changed slots are costed."""
 
     def __init__(
         self,
@@ -144,16 +155,11 @@ class _Stored(_Nearest):
     ):
         super().__init__(sizes, sums, total)
         sizes0, d0 = warm.sizes, warm.d
-        k, k0, slots = self.k, len(sizes0), self.slots
-        self.d = d = np.empty((k, k))
-        d[:k0, :k0] = d0
-        changed = np.concatenate((np.flatnonzero(sizes[:k0] != sizes0), slots[k0:]))
-        step = max(1, _BLOCK_CELLS // (k * len(self.centroids)))
-        for start in range(0, len(changed), step):
-            block = changed[start : start + step]
-            rows = self.drops(block, 0)
-            d[block] = np.where(slots > block[:, None], rows, np.inf)
-            d[:, block] = np.where(slots < block[:, None], rows, np.inf).T
+        k, k0 = self.k, len(sizes0)
+        self.d = np.empty((k, k))
+        self.d[:k0, :k0] = d0
+        changed = np.concatenate((np.flatnonzero(sizes[:k0] != sizes0), self.slots[k0:]))
+        self.cost_rows(self.d, changed)
         self.nn = np.empty(k, dtype=np.int64)
         self.nd = np.empty(k)
         self._reset(slice(None))
@@ -195,19 +201,10 @@ class _Stored(_Nearest):
 def drop_matrix(ds: Dataset, p: Partition) -> np.ndarray:
     """The (k, k) drop matrix of ``p``: ``D[i, j]`` for i < j is the R^2 drop
     of merging groups i and j, with the bits the merge loop gives it, and
-    every cell on or below the diagonal is inf. Rows go in blocks of about
-    ``_BLOCK_CELLS`` pairs, each against the slots above its lowest row."""
+    every cell on or below the diagonal is inf."""
     near = _Nearest(p.sizes, p.sums, stats.sst(ds).total)
-    k, m, slots = near.k, len(near.centroids), near.slots
-    d = np.full((k, k), np.inf)
-    start = 0
-    while start < k - 1:
-        lo = start + 1
-        stop = min(k - 1, start + max(1, _BLOCK_CELLS // ((k - lo) * m)))
-        block = near.drops(slice(start, stop), lo)
-        block[slots[lo:] <= slots[start:stop, None]] = np.inf
-        d[start:stop, lo:] = block
-        start = stop
+    d = np.empty((near.k, near.k))
+    near.cost_rows(d, near.slots)
     return d
 
 

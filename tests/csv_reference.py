@@ -28,7 +28,7 @@ def _parse_cell(cell):
 def load_csv_scan(path):
     """The n x m float64 matrix of the file at ``path``, or DataError."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = filter(None, csv.reader(fh))
             first = next(rows, [])
             has_header = any(_parse_cell(c) is None for c in first)
@@ -59,7 +59,7 @@ def load_csv_scan(path):
 
 def _first_fault(path, has_header, m):
     """Word the first fault from a second, cell-by-cell read."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         numbered = enumerate(filter(None, csv.reader(fh)), 1)
         for rownum, row in islice(numbered, has_header, None):
             if len(row) != m:

@@ -7,12 +7,9 @@ versions must reproduce their medoids, candidates, cost and assignment bit
 for bit. Kept self-contained so a change to the library cannot move them.
 """
 
-import importlib
-
 import numpy as np
 
-# The package attribute ``gcluster.kmeans`` is the function, not the module.
-kmeans_module = importlib.import_module("gcluster.kmeans")
+from gcluster import kmeans as kmeans_module
 
 
 def _chunks(count, per_item):

@@ -1,3 +1,4 @@
+import codecs
 import math
 import os
 import re
@@ -404,9 +405,10 @@ def _csv_cell(draw, clean):
 @st.composite
 def _csv_bytes(draw, clean=None):
     """CSV text from the cell grammar above, as UTF-8 bytes: blank and
-    whitespace-only lines, ragged rows, mixed line ends and an optional
-    header. ``clean`` files use only the spellings both readers share; the
-    others switch on odd cells, ragged rows and odd lines independently."""
+    whitespace-only lines, ragged rows, mixed line ends, an optional header
+    and an optional byte-order mark. ``clean`` files use only the spellings
+    both readers share; the others switch on odd cells, ragged rows and odd
+    lines independently."""
     if clean is None:
         clean = draw(st.booleans())
     odd_cells, ragged, odd_lines = (not clean and draw(st.booleans()) for _ in range(3))
@@ -422,7 +424,8 @@ def _csv_bytes(draw, clean=None):
     ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
     if ends and draw(st.booleans()):
         ends[-1] = ""
-    return "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+    bom = codecs.BOM_UTF8 if draw(st.integers(0, 4)) == 0 else b""
+    return bom + "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
 
 
 def _loaded_or_fault(load, path):
@@ -501,8 +504,31 @@ def test_a_quote_after_the_header_skips_the_c_parse(monkeypatch, tmp_path, text,
 
 @pytest.mark.parametrize(
     "text, expect",
-    [("x,y\n1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]), ("x,y\n1,2\n3,z\n", "row 3, column 2: 'z' is not a finite number")],
-    ids=["valid", "fault"],
+    [
+        ("1.5,2\n3,4\n5,7\n", [[1.5, 2.0], [3.0, 4.0], [5.0, 7.0]]),
+        ('"x","y"\n1.5,2\n3,4\n', [[1.5, 2.0], [3.0, 4.0]]),
+    ],
+    ids=["no header", "quoted header"],
+)
+def test_load_skips_a_byte_order_mark(monkeypatch, tmp_path, text, expect):
+    # Excel's "CSV UTF-8" export starts with a BOM, which is not part of the
+    # first cell. numpy's reader still takes the rows after the header: the
+    # quote scan starts past the header's bytes and the BOM's 3.
+    path = tmp_path / "excel.csv"
+    path.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    calls = _spy_on_the_fallback(monkeypatch)
+    assert load_csv(path).values.tobytes() == np.array(expect).tobytes()
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "text, expect",
+    [
+        ("x,y\n1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("x,y\n1,2\n3,z\n", "row 3, column 2: 'z' is not a finite number"),
+        ("\ufeff1.5,2\n3,4\n", [[1.5, 2.0], [3.0, 4.0]]),
+    ],
+    ids=["valid", "fault", "byte-order mark"],
 )
 def test_load_reads_a_pipe_in_one_pass(tmp_path, text, expect):
     # A named pipe cannot be read twice: it takes the streamed pass alone,

@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import math
 
@@ -14,7 +13,6 @@ from gcluster import (
     evaluate,
     gc_brute_force,
     generate,
-    kmeans,
     kmeans_gc,
     pmedian_greedy,
     pmedian_local_search,
@@ -23,7 +21,9 @@ from gcluster import (
     sst,
     standardize,
 )
+from gcluster import kmeans as kmeans_module
 from gcluster.dataset import Distribution, InstanceSpec
+from gcluster.kmeans import kmeans
 
 from conftest import small_dataset, tie_heavy_dataset
 from medoid_reference import pmedian_greedy_scan, pmedian_local_search_scan
@@ -105,7 +105,7 @@ def test_probe_without_a_swap_makes_one_nearest_medoid_pass(monkeypatch):
 
     monkeypatch.setattr(kmeans_module, "_nearest_two", counting)
     opening = kmeans_module._GreedyOpening(ds)
-    sol = opening.solution(2)
+    sol = opening.solve(2)[0]
     assert pmedian_local_search(ds, sol) is sol  # the probe takes no swap
     calls.clear()
     kmeans_module._probe(ds, 2, opening)
@@ -221,8 +221,6 @@ def test_kmeans_gc_near_one_threshold():
 
 
 # Fast medoid stages against the plain loops they replaced (medoid_reference).
-
-kmeans_module = importlib.import_module("gcluster.kmeans")
 
 
 def assert_same_solution(got, ref):
@@ -346,7 +344,7 @@ def assert_opening_answers_like_scan(ds, order, budget):
             mp.setattr(kmeans_module, "_BLOCK_BUDGET", budget)
         opening = kmeans_module._GreedyOpening(ds)
         for p in order:
-            assert_same_solution(opening.solution(p), pmedian_greedy_scan(ds, p))
+            assert_same_solution(opening.solve(p)[0], pmedian_greedy_scan(ds, p))
     assert len(opening.windows) == len(opening.medoids)
     for p, window in enumerate(opening.windows, start=1):
         assert opening.medoids[p - 1] in window

@@ -12,13 +12,12 @@ from gcluster import (
     apply_merge,
     apply_removal,
     evaluate,
-    merge_delta,
     r2,
-    removal_effect,
     SolverError,
     sst,
+    standardize,
 )
-from gcluster.stats import group_sums
+from gcluster.stats import group_sums, merge_drop
 
 from conftest import dataset_with_partition, tie_heavy_dataset
 
@@ -47,10 +46,26 @@ def test_sst_negligible_variance_is_not_called_identical_rows():
     assert "identical" not in str(info.value)
 
 
+def test_sst_is_computed_once_per_dataset():
+    # the summary is cached on the Dataset it describes, and on no other:
+    # neither the standardized copy nor an equal matrix shares it
+    ds = Dataset(np.array([[0.0, 1.0], [0.0, 3.0], [3.0, 2.0]]))
+    first = sst(ds)
+    assert sst(ds) is first
+    assert math.isclose(first.total, 6.0 + 2.0)
+    scored = standardize(ds)
+    assert sst(scored) is not first
+    assert sst(scored) is sst(scored)
+    assert math.isclose(sst(scored).total, 2 * (ds.n - 1))
+    twin = Dataset(ds.values)
+    assert sst(twin) is not first
+    assert sst(twin).total == first.total
+
+
 def test_evaluate_extremes():
     ds = three_point_line()
     assert abs(evaluate(ds, Partition.singletons(ds)).r2 - 1.0) <= 1e-12
-    assert abs(evaluate(ds, Partition.single_group(ds)).r2) <= 1e-12
+    assert abs(evaluate(ds, Partition.from_labels(ds, np.zeros(ds.n))).r2) <= 1e-12
 
 
 def test_evaluate_hand_example():
@@ -78,6 +93,16 @@ def test_degenerate_attribute_reports_zero():
     assert evaluate(ds, p).r2_per_attribute[0] == 0.0
 
 
+def merge_delta(ds, p, a, b):
+    """The R^2 drop of merging groups a and b, as Ward costs it."""
+    return merge_drop(p.sizes, p.sums, a, b) / sst(ds).total
+
+
+def removal_effect(ds, p, elem):
+    """The R^2 gain of isolating ``elem``: the SSB gain a shake applies."""
+    return (apply_removal(ds, p, elem).ssb - p.ssb) / sst(ds).total
+
+
 def test_merge_delta_hand_example():
     ds = Dataset(np.array([[0.0], [2.0]]))
     p = Partition.singletons(ds)
@@ -94,7 +119,7 @@ def test_merge_requires_distinct_groups():
     ds = three_point_line()
     p = Partition.singletons(ds)
     with pytest.raises(ValueError):
-        merge_delta(ds, p, 1, 1)
+        apply_merge(ds, p, 1, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -147,8 +172,6 @@ def test_removal_from_singleton_is_an_error():
     ds = three_point_line()
     p = Partition.from_labels(ds, [0, 1, 0])
     with pytest.raises(ValueError):
-        removal_effect(ds, p, 1)
-    with pytest.raises(ValueError):
         apply_removal(ds, p, 1)
 
 
@@ -173,7 +196,7 @@ def test_apply_merge_complete():
 
 def test_apply_removal_structure():
     ds = Dataset(np.array([[0.0], [1.0]]))
-    p = Partition.single_group(ds)
+    p = Partition.from_labels(ds, [0, 0])
     out = apply_removal(ds, p, 1)
     assert out.k == p.k + 1
     assert out.assignment.tolist() == [0, 1]

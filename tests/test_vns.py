@@ -261,7 +261,9 @@ def test_warm_rebuilds_match_cold_rebuilds(monkeypatch, starter, duplicates):
     def cold(ds, start, r2t, on_step=None, *, _warm=None):
         offered.append(_warm is not None)
         fresh = ward._Warm(start.sizes, ward.drop_matrix(ds, start))
-        return resume(ds, start, r2t, on_step, _warm=fresh)
+        out = resume(ds, start, r2t, on_step, _warm=fresh)
+        _warm.result = fresh.result  # hand back the result's matrix, as a rebuild does
+        return out
 
     monkeypatch.setattr(ward, "wards_gc_from", cold)
     assert outcome() == warm

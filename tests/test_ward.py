@@ -13,7 +13,6 @@ from gcluster import (
     evaluate,
     gc_brute_force,
     generate,
-    merge_delta,
     r2,
     shake,
     standardize,
@@ -68,7 +67,7 @@ def test_warm_start_at_fixed_point_returns_start():
 def test_warm_start_requires_feasible_partition():
     ds = Dataset(np.array([[0.0], [0.0], [3.0]]))
     with pytest.raises(InfeasibleStartError):
-        wards_gc_from(ds, Partition.single_group(ds), 0.5)
+        wards_gc_from(ds, Partition.from_labels(ds, [0, 0, 0]), 0.5)
 
 
 @settings(max_examples=25, deadline=None)
@@ -115,7 +114,7 @@ def test_merge_choice_minimizes_delta_against_all_pairs():
 
     def check(p, a, b, delta, applied):
         deltas = [
-            merge_delta(ds, p, x, y)
+            stats.merge_drop(p.sizes, p.sums, x, y) / stats.sst(ds).total
             for x in range(p.k)
             for y in range(x + 1, p.k)
         ]
@@ -293,8 +292,13 @@ def test_drop_matrix_holds_each_pairs_drop_above_the_diagonal():
     d = ward.drop_matrix(ds, p)
     upper = np.triu(np.ones((p.k, p.k), dtype=bool), 1)
     assert np.isinf(d[~upper]).all()
+    total = stats.sst(ds).total
     for i, j in zip(*upper.nonzero()):
-        assert math.isclose(d[i, j], merge_delta(ds, p, i, j), rel_tol=1e-12)
+        # the bits of the pair arithmetic every Ward source costs with, and
+        # the SSB change the merge books, up to rounding
+        assert float(d[i, j]).hex() == pair_drop(ds, p, i, j).hex()
+        drop = stats.merge_drop(p.sizes, p.sums, i, j) / total
+        assert math.isclose(d[i, j], drop, rel_tol=1e-12)
 
 
 def test_warm_start_from_the_unshaken_incumbent_matches_cold_start():
@@ -309,9 +313,8 @@ def test_warm_start_from_the_unshaken_incumbent_matches_cold_start():
 
 @pytest.mark.parametrize("duplicates", [False, True])
 def test_one_row_blocks_match_default_blocks(monkeypatch, duplicates):
-    # With one row per block drop_matrix ends on a block that holds only
-    # the top slot, which has no partner above it, and a warm rebuild costs
-    # its changed rows one at a time.
+    # With one row per block drop_matrix and a warm rebuild cost their rows
+    # one at a time; the top slot's row has no pair above the diagonal.
     ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 60, 3, 5)))
     if duplicates:
         ds = Dataset(np.repeat(np.round(ds.values[:20], 1), 3, axis=0))
