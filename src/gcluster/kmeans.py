@@ -16,11 +16,12 @@ takes the prefix it needs; each prefix is exact because every opening is
 confirmed with exact costs that break ties by lowest index, as a loop
 stopping at p would. A probe's result therefore depends on its k alone,
 not on which probes came before it: any driver that stops at the same k
-returns the same partition, bit for bit. The opening keeps a running
-opening cost per element and, after each opening, subtracts the change on
-the rows that moved closer. Each opening keeps the window of columns its
-scores place near the cut, so a probe ranks its swap candidates by costing
-exactly only those few columns, not by another pass over all n.
+returns the same partition, bit for bit. The opening costs all n columns
+exactly once, then keeps a running cost per element that each opening
+lowers by the change on the rows that moved closer; these costs screen
+every opening. Each opening keeps the window of columns its scores place
+near the cut, so a probe ranks its swap candidates by costing exactly
+only those few columns, not by another pass over all n.
 The swap search costs a candidate against every medoid position in one
 ``bincount`` pass (the fast swap of Resende & Werneck 2003; FastPAM,
 Schubert & Rousseeuw, arXiv:1810.05691), and after a swap reassigns only
@@ -118,11 +119,8 @@ def _nearest_two(X: np.ndarray, points: np.ndarray, squared: bool = False):
             np.sqrt(block, out=block)
         bm = np.argmin(block, axis=1)
         bd1 = block[rows, bm]
-        if hi - lo > 1:
-            block[rows, bm] = np.inf
-            bd2 = block.min(axis=1)
-        else:
-            bd2 = np.full(n, np.inf)
+        block[rows, bm] = np.inf  # a one-point chunk's bd2 is then inf
+        bd2 = block.min(axis=1)
         better = bd1 < d1
         d2 = np.where(better, np.minimum(d1, bd2), np.minimum(d2, bd1))
         d1 = np.where(better, bd1, d1)
@@ -154,8 +152,7 @@ def _swap_nearest_two(
     nearest = np.where((d_in < d1) | ((d_in == d1) & (pos < nearest)), pos, nearest)
     d2 = np.where(d_in <= d1, d1, np.minimum(d2, d_in))
     d1 = np.minimum(d1, d_in)
-    if len(redo):
-        nearest[redo], d1[redo], d2[redo] = _nearest_two(X[redo], X[medoids])
+    nearest[redo], d1[redo], d2[redo] = _nearest_two(X[redo], X[medoids])
     return nearest, d1, d2
 
 
@@ -198,20 +195,25 @@ class _GreedyOpening:
     extended only when a caller asks for more medoids than it holds, and
     :func:`pmedian_greedy` says why each prefix is exact.
 
-    The first medoid minimizes the summed distance to all elements; each
-    later one is the element whose opening gives the largest cost
-    reduction. Opening costs are updated, not recomputed: after a medoid
-    opens, only the rows whose nearest-medoid distance dropped change any
-    column's cost. Those running costs carry rounding, so they only screen:
-    the columns within ``tol = 1e-9 * scale`` of the lowest are costed
-    exactly and the lowest index among their exact minima opens. ``scale``
-    is the largest cost at the last full pass, which bounds the rounding any
-    running cost has picked up since. The first pass, and a pass that every
-    row would update, are full and exact.
+    The first medoid minimizes the summed distance to all elements; each later
+    one is the element whose opening gives the largest cost reduction.
+    Construction costs each column j exactly, S_j = sum_i b_ij with b_ij =
+    |x_i - x_j|. The costs are then updated, not recomputed: a fold subtracts
+    sum_i [min(d_i, b_ij) - min(d'_i, b_ij)] over the rows whose distance to
+    the nearest medoid dropped from d to d' (every row on the first fold, from
+    d = inf). These running costs only screen: every opening, the first
+    included, costs exactly the columns within ``tol`` = 1e-9 * max(max_j S_j,
+    1) of the lowest, and the lowest index among their exact minima opens.
+    ``d`` lacks the last medoid opened until the next opening folds it in.
 
-    ``d`` is every row's distance to its nearest medoid among all but the
-    last one opened: the newest opening is folded in only when the next one
-    is needed.
+    The screen keeps the exact minima while a running cost is within tol / 2 of
+    the exact c_j = sum_i min(d_i, b_ij) (u = 2^-53, g = n u / (1 - n u);
+    Higham, chapters 3-4). The gains telescope to S_j - c_j. S_j sums n
+    non-negative terms, so it is off by at most g S_j; the gains, sums of
+    non-negative differences rounded once, by g times their total S_j - c_j;
+    the p - 1 subtractions by (p - 1) u S_j. So a running cost is off by about
+    2 n u S_j, plus (p - 1) u S_j, and the exact sum by g c_j: at most 4 g S_j,
+    below 5e-10 S_j <= tol / 2 for n up to about 1.1 * 10^6.
 
     The p-th opening leaves :meth:`solve` its ranking window: the
     columns whose running score is within ``tol`` of the r-th smallest,
@@ -223,8 +225,8 @@ class _GreedyOpening:
         self.X = ds.values
         self.medoids: list[int] = []
         self.d = np.full(ds.n, np.inf)
-        self.scores: np.ndarray | None = None  # running costs; None asks for a full pass
-        self.tol = 0.0
+        self.scores = _opening_costs(self.X, self.d, np.arange(ds.n))  # running costs
+        self.tol = 1e-9 * max(float(self.scores.max()), 1.0)
         self.windows: list[np.ndarray] = []  # ranking window of each opening
 
     def extend(self, p: int) -> None:
@@ -233,16 +235,9 @@ class _GreedyOpening:
         while len(self.medoids) < p:
             if self.medoids:
                 self._fold_in(self.medoids[-1])
-            if self.scores is None:
-                scores = _opening_costs(X, self.d, np.arange(n))
-                scores[self.medoids] = np.inf
-                self.tol = 1e-9 * max(float(scores[np.isfinite(scores)].max()), 1.0)
-                self.scores = scores
-                chosen = int(np.argmin(scores))
-            else:
-                scores = self.scores
-                near = np.flatnonzero(scores <= scores.min() + self.tol)
-                chosen = int(near[np.argmin(_opening_costs(X, self.d, near))])
+            scores = self.scores
+            near = np.flatnonzero(scores <= scores.min() + self.tol)
+            chosen = int(near[np.argmin(_opening_costs(X, self.d, near))])
             # the window of opening p = len(self.medoids) + 1 (class docstring)
             rank = min(2 * len(self.medoids) + 3, n - len(self.medoids))
             edge = np.partition(scores, rank - 1)[rank - 1]
@@ -250,19 +245,16 @@ class _GreedyOpening:
             self.medoids.append(chosen)
 
     def _fold_in(self, opened: int) -> None:
-        X, n, d = self.X, len(self.X), self.d
+        X, d, scores = self.X, self.d, self.scores
         d_new = np.minimum(d, _column(X, opened))
         rows = np.flatnonzero(d_new < d)
-        if len(rows) == n:
-            self.scores = None  # an update over every row costs a full pass
-        else:
-            scores = self.scores
-            scores[opened] = np.inf
-            old, new = d[rows, None], d_new[rows, None]
-            for lo, hi in _chunks(n, len(rows) * X.shape[1]):
-                block = np.sqrt(_sq_distances(X[rows], X[lo:hi]))
-                gain = np.minimum(old, block) - np.minimum(new, block)
-                scores[lo:hi] -= gain.sum(axis=0)
+        scores[opened] = np.inf
+        old, new = d[rows, None], d_new[rows, None]
+        for lo, hi in _chunks(len(X), len(rows) * X.shape[1]):
+            block = np.sqrt(_sq_distances(X[rows], X[lo:hi]))
+            gain = np.minimum(old, block)
+            gain -= np.minimum(new, block, out=block)
+            scores[lo:hi] -= gain.sum(axis=0)
         self.d = d_new
 
     def solve(self, p: int) -> tuple[MedoidSolution, tuple[np.ndarray, ...]]:
@@ -308,13 +300,13 @@ def pmedian_greedy(ds: Dataset, p: int) -> MedoidSolution:
     :class:`_GreedyOpening`), built for this call alone. :func:`kmeans_gc`
     does not call this function: it builds the sequence once and takes every
     probe's prefix from it with :meth:`_GreedyOpening.solve`. A prefix is exact
-    because each opening is confirmed with exact costs whose bits match a
-    full pass, and the lowest index among the exact minima opens whatever p
-    is, so the p-th medoid is the one a loop stopping at p would open. The
-    runners-up are ranked by the same exact costs over the window that the
-    p-th opening kept (see :meth:`_GreedyOpening.solve`). Both rest on
-    the screening windows holding the exact minima, which the bound on the
-    running costs' rounding guarantees up to n of about 10^6.
+    because every opening, the first included, is confirmed with exact costs
+    whose bits match a full pass, and the lowest index among the exact minima
+    opens whatever p is, so the p-th medoid is the one a loop stopping at p
+    would open. The runners-up are ranked by the same exact costs over the
+    window the p-th opening kept (see :meth:`_GreedyOpening.solve`). Both rest
+    on the screens holding the exact minima, which the class docstring's
+    rounding bound guarantees for n up to about 10^6.
     """
     return _GreedyOpening(ds).solve(p)[0]
 
@@ -343,9 +335,6 @@ def pmedian_local_search(
     X = ds.values
     medoids = list(sol.medoids)
     p = len(medoids)
-    if not sol.candidates or p == len(X):
-        return sol
-
     nearest, d1, d2 = _nearest_two(X, X[medoids]) if _pass is None else _pass
     cost = float(d1.sum())
     columns: dict[int, np.ndarray] = {}

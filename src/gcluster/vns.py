@@ -180,7 +180,7 @@ def vns_gc(ds: Dataset, r2t: float, cfg: VnsConfig) -> tuple[Partition, VnsTrace
             trace.termination = Termination.TIME_LIMIT
             break
         effective_rmax = min(cfg.r_max, ds.n - p_star.k - 1)
-        if effective_rmax < 1 or r > effective_rmax:
+        if r > effective_rmax:
             trace.termination = Termination.RMAX_EXHAUSTED
             break
         shaken = shake(ds, p_star, r, rng, _ranking=ranking)

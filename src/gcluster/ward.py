@@ -369,7 +369,6 @@ def wards_gc(ds: Dataset, r2t: float, on_step: StepCallback | None = None) -> Pa
     element when it is among a row's minima, else the lowest slot.
     """
     stats.check_threshold(r2t)
-    stats.sst(ds)  # raises on degenerate data before any work happens
     return _chained(ds, Partition.singletons(ds), r2t, on_step)
 
 

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gcluster
 import gcluster.bench as bench_mod
 from gcluster import stats
 from gcluster import (
@@ -459,10 +462,15 @@ def test_solve_infeasible_configuration(tmp_path):
 
 
 def test_console_entry_point_runs():
+    # the subprocess imports the package this process imported, installed
+    # or not: pytest's own pythonpath setting does not reach it
+    here = str(Path(gcluster.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [here, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gcluster.cli", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "gen" in proc.stdout and "solve" in proc.stdout

@@ -426,10 +426,10 @@ def test_kmeans_gc_probe_order_is_pinned(budget):
     assert [probe.k for probe in probes] == [2, 4, 8, 6, 5]
     assert [probe.feasible for probe in probes] == [False, False, True, True, False]
     assert p.k == 6
-    # the first opening and the fold of the first medoid cost every column;
-    # the probes rank their swap candidates from the openings' own windows,
-    # whatever the budget
-    assert widths.count(ds.n) == 2
+    # only the opening sequence's first pass costs every column; each
+    # opening is confirmed, and each probe ranks its swap candidates, from a
+    # screened window, whatever the budget
+    assert widths.count(ds.n) == 1
 
 
 def plain_bisection(ds, r2t):

@@ -16,6 +16,7 @@ from gcluster import (
     SolverError,
     sst,
     standardize,
+    wards_gc,
 )
 from gcluster.stats import group_sums, merge_drop
 
@@ -35,8 +36,13 @@ def test_sst_hand_example():
 
 
 def test_sst_identical_rows_is_an_error():
-    with pytest.raises(DegenerateDataError):
-        sst(Dataset(np.array([[1.0, 2.0], [1.0, 2.0]])))
+    ds = Dataset(np.array([[1.0, 2.0], [1.0, 2.0]]))
+    with pytest.raises(DegenerateDataError) as direct:
+        sst(ds)
+    # Ward raises the same error, from its singleton partition's SST
+    with pytest.raises(DegenerateDataError) as ward:
+        wards_gc(ds, 0.5)
+    assert str(ward.value) == str(direct.value)
 
 
 def test_sst_negligible_variance_is_not_called_identical_rows():
