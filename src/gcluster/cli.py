@@ -15,7 +15,6 @@ import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from . import bench, stats
 from .dataset import (
@@ -39,30 +38,6 @@ EXIT_SOLVER = 4
 
 class UsageError(Exception):
     """Bad flag values or flag combinations (exit code 2)."""
-
-
-@dataclass
-class SolveReport:
-    """Self-contained record of one solve: enough to re-evaluate the stored
-    assignment against the (re-standardized) input without re-solving."""
-
-    algorithm: str
-    n: int
-    m: int
-    r2t: float
-    k: int
-    r2: float
-    r2_incremental: float
-    r2_per_attribute: list[float]
-    elapsed_seconds: float
-    converged: bool | None
-    termination: str | None
-    assignment: list[int]
-    seed: int | None
-    standardization: dict | None
-    # no times in these two, so seeded reports differ only in elapsed_seconds
-    vns: dict | None
-    kmeans: dict | None
 
 
 def _standardization_record(ds: Dataset) -> dict | None:
@@ -107,9 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--r2t", type=_r2t_flag, required=True)
     solve.add_argument("--input", required=True)
     solve.add_argument("--standardize", action="store_true")
-    solve.add_argument("--rmax", type=int, default=50)
-    solve.add_argument("--time-limit", type=float, default=21600.0)
-    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--rmax", type=int, default=VnsConfig.r_max)
+    solve.add_argument("--time-limit", type=float, default=VnsConfig.time_limit_seconds)
+    solve.add_argument("--seed", type=int, default=VnsConfig.seed)
     solve.add_argument("--report", default=None)
     solve.set_defaults(func=cmd_solve)
 
@@ -123,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--config", default=None)
     bench_p.add_argument("--seeds", type=int, default=1)
     bench_p.add_argument("--out", default="bench_rows.csv")
-    bench_p.add_argument("--rmax", type=int, default=50)
-    bench_p.add_argument("--time-limit", type=float, default=21600.0)
+    bench_p.add_argument("--rmax", type=int, default=VnsConfig.r_max)
+    bench_p.add_argument("--time-limit", type=float, default=VnsConfig.time_limit_seconds)
     bench_p.add_argument("--per-attribute", action="store_true")
     bench_p.set_defaults(func=cmd_bench)
 
@@ -132,18 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
-    if args.n < 2:
-        raise UsageError(f"--n must be >= 2, got {args.n}")
-    if args.m < 1:
-        raise UsageError(f"--m must be >= 1, got {args.m}")
-    if args.seed < 0:
-        raise UsageError("--seed must be non-negative")
-    spec = InstanceSpec(
-        Distribution.NORMAL01 if args.dist == "normal" else Distribution.UNIFORM,
-        args.n,
-        args.m,
-        args.seed,
-    )
+    try:
+        spec = InstanceSpec(Distribution(args.dist), args.n, args.m, args.seed)
+    except DataError as exc:
+        raise UsageError(str(exc)) from None
     ds = generate(spec)
     write_csv(ds, args.out)
     print(instance_name(spec))
@@ -164,35 +131,38 @@ def cmd_solve(args) -> int:
     elapsed = time.perf_counter() - t0
     trace = outcome.trace
 
-    report = SolveReport(
-        algorithm=args.algo,
-        n=ds.n,
-        m=ds.m,
-        r2t=args.r2t,
-        k=outcome.partition.k,
-        r2=outcome.summary.r2,
-        r2_incremental=stats.r2(ds, outcome.partition),
-        r2_per_attribute=[float(v) for v in outcome.summary.r2_per_attribute],
-        elapsed_seconds=elapsed,
-        converged=outcome.converged,
-        termination=trace.termination.value if trace else None,
-        assignment=[int(g) for g in outcome.partition.assignment],
-        seed=args.seed if args.algo.startswith("vns") else None,
-        standardization=_standardization_record(ds),
-        vns=None if trace is None else {
+    # self-contained: enough to re-evaluate the stored assignment against
+    # the (re-standardized) input without re-solving
+    report = {
+        "algorithm": args.algo,
+        "n": ds.n,
+        "m": ds.m,
+        "r2t": args.r2t,
+        "k": outcome.partition.k,
+        "r2": outcome.summary.r2,
+        "r2_incremental": stats.r2(ds, outcome.partition),
+        "r2_per_attribute": [float(v) for v in outcome.summary.r2_per_attribute],
+        "elapsed_seconds": elapsed,
+        "converged": outcome.converged,
+        "termination": trace.termination.value if trace else None,
+        "assignment": [int(g) for g in outcome.partition.assignment],
+        "seed": args.seed if args.algo.startswith("vns") else None,
+        "standardization": _standardization_record(ds),
+        # no times in these two, so seeded reports differ only in elapsed_seconds
+        "vns": None if trace is None else {
             "iterations": trace.iterations,
             "improvements": trace.improvements,
             "history": [[k, r2] for _, k, r2 in trace.best_history],
         },
-        kmeans=None if outcome.probes is None else {
+        "kmeans": None if outcome.probes is None else {
             "probes": [[p.k, float(p.r2), bool(p.feasible)] for p in outcome.probes],
         },
-    )
+    }
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(dataclasses.asdict(report), fh, indent=2)
+            json.dump(report, fh, indent=2)
             fh.write("\n")
-    print(f"k={report.k} r2={report.r2:.6f} time={elapsed:.3f}s")
+    print(f"k={report['k']} r2={report['r2']:.6f} time={elapsed:.3f}s")
     return EXIT_OK
 
 

@@ -106,25 +106,23 @@ def _nearest_two(X: np.ndarray, points: np.ndarray, squared: bool = False):
     Returns (nearest_index, nearest_dist, second_dist); second_dist is +inf
     when there is a single point. Ties resolve to the lowest index. Distances
     are Euclidean, or squared when ``squared`` is set: the square root can
-    round two different squares to one value and so create ties.
+    round two different squares to one value and so create ties. Rows are
+    taken a block at a time, each against every point, so a block writes
+    its slice of the result directly.
     """
-    n, m = X.shape
-    nearest = np.zeros(n, dtype=np.int64)
-    d1 = np.full(n, np.inf)
-    d2 = np.full(n, np.inf)
-    rows = np.arange(n)
-    for lo, hi in _chunks(len(points), n * m):
-        block = _sq_distances(X, points[lo:hi])
+    n = len(X)
+    nearest = np.empty(n, dtype=np.int64)
+    d1 = np.empty(n)
+    d2 = np.empty(n)
+    for lo, hi in _chunks(n, len(points) * X.shape[1]):
+        block = _sq_distances(X[lo:hi], points)
         if not squared:
             np.sqrt(block, out=block)
-        bm = np.argmin(block, axis=1)
-        bd1 = block[rows, bm]
-        block[rows, bm] = np.inf  # a one-point chunk's bd2 is then inf
-        bd2 = block.min(axis=1)
-        better = bd1 < d1
-        d2 = np.where(better, np.minimum(d1, bd2), np.minimum(d2, bd1))
-        d1 = np.where(better, bd1, d1)
-        nearest = np.where(better, bm + lo, nearest)
+        rows = np.arange(hi - lo)
+        bm = nearest[lo:hi] = np.argmin(block, axis=1)
+        d1[lo:hi] = block[rows, bm]
+        block[rows, bm] = np.inf  # a single point's d2 is then inf
+        d2[lo:hi] = block.min(axis=1)
     return nearest, d1, d2
 
 
@@ -434,7 +432,6 @@ def kmeans_gc(
     at the feasible endpoint.
     """
     stats.check_threshold(r2t)
-    total = stats.sst(ds).total
     a, b = 1, ds.n
     best = Partition.singletons(ds)
     opening = _GreedyOpening(ds)
@@ -442,7 +439,7 @@ def kmeans_gc(
         # b stays n until a probe is feasible: double until then, then bisect
         c = min(2 * a, b - 1) if b == ds.n else (a + b) // 2
         result = _probe(ds, c, opening)
-        r2c = result.partition.ssb / total
+        r2c = stats.r2(ds, result.partition)
         feasible = stats.meets_threshold(r2c, r2t)
         if on_probe is not None:
             on_probe(BisectionProbe(c, r2c, result.converged, feasible))

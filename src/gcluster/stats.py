@@ -137,10 +137,13 @@ class Partition:
 
     @classmethod
     def from_labels(cls, ds: Dataset, labels) -> "Partition":
-        """Build a partition (and its stats) from a dense label vector."""
-        labels = np.asarray(labels, dtype=np.int64)
+        """Build a partition (and its stats) from a dense integer label vector."""
+        raw = np.asarray(labels)
+        labels = raw.astype(np.int64, copy=False)
         if labels.shape != (ds.n,):
             raise ValueError(f"labels must have shape ({ds.n},), got {labels.shape}")
+        if raw.dtype.kind not in "iu" and (labels != raw).any():
+            raise ValueError("labels must be integers")
         if labels.size == 0 or labels.min() < 0:
             raise ValueError("labels must be non-negative")
         k = int(labels.max()) + 1

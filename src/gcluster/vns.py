@@ -57,6 +57,8 @@ class VnsConfig:
             raise ValueError(f"r_max must be >= 1, got {self.r_max}")
         if not self.time_limit_seconds > 0:  # NaN too
             raise ValueError(f"time_limit_seconds must be positive, got {self.time_limit_seconds}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -97,15 +99,12 @@ def _draw(ranking: _Ranking, n: int, r: int, rng) -> list[int]:
         kept: list[int] = []
         position = 0
         for idx, elem in enumerate(ranked):
-            if len(selected) == r or draws >= cap:
-                kept.extend(ranked[idx:])
-                break
             if group_left[member_of[elem]] < 2:
                 continue  # depleted by an earlier pick; drop silently
             position += 1
-            if position >= denom:
-                # zero selection probability for the rest of this pass; any
-                # depleted candidate among them drops out in a later pass
+            if len(selected) == r or draws >= cap or position >= denom:
+                # r picked, the cap hit, or zero odds from here on: the pass
+                # ends, and a depleted candidate among the rest drops out later
                 kept.extend(ranked[idx:])
                 break
             draws += 1
@@ -170,8 +169,7 @@ def vns_gc(ds: Dataset, r2t: float, cfg: VnsConfig) -> tuple[Partition, VnsTrace
     # ranking: both are made once per incumbent
     warm = ward._Warm(p_star.sizes, ward.drop_matrix(ds, p_star))
     ranking = _rank(ds, p_star)
-    total = stats.sst(ds).total
-    best_r2 = p_star.ssb / total
+    best_r2 = stats.r2(ds, p_star)
     trace.best_history.append((time.perf_counter() - t0, p_star.k, best_r2))
 
     r = 1
@@ -186,7 +184,7 @@ def vns_gc(ds: Dataset, r2t: float, cfg: VnsConfig) -> tuple[Partition, VnsTrace
         shaken = shake(ds, p_star, r, rng, _ranking=ranking)
         rebuilt = ward.wards_gc_from(ds, shaken, r2t, _warm=warm)
         trace.iterations += 1
-        rebuilt_r2 = rebuilt.ssb / total
+        rebuilt_r2 = stats.r2(ds, rebuilt)
         # An equal-k gain below the guard band is round-off between merge
         # orders, not an improvement; accepting it would reset r forever.
         gained = rebuilt_r2 > best_r2 + stats.THRESHOLD_EPS

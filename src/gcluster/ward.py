@@ -382,18 +382,20 @@ def wards_gc_from(
 ) -> Partition:
     """Same loop as :func:`wards_gc` but seeded at ``start``.
 
-    The seed must itself satisfy the threshold; the result never has more
-    groups than the seed. Without ``_warm`` the chain runs from ``start``,
-    in O(k) memory beside the data. ``_warm``, for VNS, holds the group
-    sizes and :func:`drop_matrix` of the partition ``start`` was shaken
-    from. With it each merge re-costs one row of a stored 8*k^2-byte drop
-    matrix (Muellner 2011, section 3.1), and the result's drop matrix is
-    left in ``_warm.result``. A tie there goes to the lowest slot pair, not
-    to the chain's pick, so the steps and the result with and without
-    ``_warm`` agree bit for bit only where no step has two pairs at the
-    smallest drop.
+    The seed must be a partition of ``ds`` that satisfies the threshold; the
+    result never has more groups than the seed. Without ``_warm`` the chain
+    runs from ``start``, in O(k) memory beside the data. ``_warm``, for VNS,
+    holds the group sizes and :func:`drop_matrix` of the partition ``start``
+    was shaken from. With it each merge re-costs one row of a stored
+    8*k^2-byte drop matrix (Muellner 2011, section 3.1), and the result's
+    drop matrix is left in ``_warm.result``. A tie there goes to the lowest
+    slot pair, not to the chain's pick, so the steps and the result with and
+    without ``_warm`` agree bit for bit only where no step has two pairs at
+    the smallest drop.
     """
     stats.check_threshold(r2t)
+    if start.assignment.shape != (ds.n,) or start.sums.shape[1] != ds.m:
+        raise ValueError(f"start partition does not fit the {ds.n} x {ds.m} dataset")
     start_r2 = stats.r2(ds, start)
     if not stats.meets_threshold(start_r2, r2t):
         raise InfeasibleStartError(

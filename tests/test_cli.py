@@ -60,6 +60,22 @@ def test_gen_rejects_n_below_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--m", "0"), ("--seed", "-1"), ("--seed", str(2**64))],
+    ids=["m-zero", "seed-negative", "seed-too-large"],
+)
+def test_gen_rejects_bad_flag_values(tmp_path, capsys, flag, value):
+    # --seed 2**64 once exited 3 (data error) where --seed -1 exited 2
+    out = tmp_path / "x.csv"
+    argv = ["gen", "--dist", "normal", "--out", str(out)]
+    for key, given in {"--n": "5", "--m": "3", "--seed": "0", flag: value}.items():
+        argv += [key, given]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_solve_wards_writes_feasible_report(tmp_path, capsys):
     path = gen_instance(tmp_path, n=100, m=3, seed=7)
     capsys.readouterr()  # drop the gen output
@@ -227,6 +243,44 @@ def test_solve_nan_time_limit_is_usage_error(tmp_path):
         "--time-limit", "nan",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("algo", ["wards", "kmeans", "vns-wards", "vns-kmeans"])
+def test_solve_rejects_a_negative_seed(tmp_path, capsys, algo):
+    # wards and kmeans once ignored it; vns-* exited 2 in numpy's wording
+    path = gen_instance(tmp_path, n=20, m=2, seed=1)
+    capsys.readouterr()  # drop the gen output
+    code = run_cli("solve", "--algo", algo, "--r2t", "0.6", "--input", str(path), "--seed", "-1")
+    assert code == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+
+
+def test_solve_without_standardize_reports_raw_data(tmp_path):
+    path = gen_instance(tmp_path, n=30, m=2, seed=2)
+    report_path = tmp_path / "r.json"
+    assert run_cli(
+        "solve", "--algo", "wards", "--r2t", "0.6", "--input", str(path),
+        "--report", str(report_path),
+    ) == 0
+    report = json.loads(report_path.read_text())
+    assert report["standardization"] == {"applied": False}
+    assert list(report) == [
+        "algorithm", "n", "m", "r2t", "k", "r2", "r2_incremental", "r2_per_attribute",
+        "elapsed_seconds", "converged", "termination", "assignment", "seed",
+        "standardization", "vns", "kmeans",
+    ]
+
+
+def test_solve_warns_of_a_zeroed_constant_column(tmp_path, capsys):
+    path = tmp_path / "flat_first.csv"
+    path.write_text("5,1,0\n5,2,4\n5,3,1\n5,7,2\n")
+    report_path = tmp_path / "r.json"
+    assert run_cli(
+        "solve", "--algo", "wards", "--r2t", "0.6", "--input", str(path),
+        "--standardize", "--report", str(report_path),
+    ) == 0
+    assert capsys.readouterr().err == "warning: constant columns zeroed by standardization: 0\n"
+    assert json.loads(report_path.read_text())["standardization"]["degenerate_columns"] == [0]
 
 
 def test_solve_degenerate_data_is_data_error(tmp_path):

@@ -103,6 +103,10 @@ def test_spec_validation():
         InstanceSpec(Distribution.NORMAL01, 1, 3, 0)
     with pytest.raises(DataError):
         InstanceSpec(Distribution.NORMAL01, 5, 0, 0)
+    with pytest.raises(DataError):
+        InstanceSpec(Distribution.NORMAL01, 5, 3, -1)
+    with pytest.raises(DataError):
+        InstanceSpec(Distribution.NORMAL01, 5, 3, 2**64)
 
 
 def test_instance_names():
@@ -356,6 +360,22 @@ def test_load_keeps_the_parsed_matrix_instead_of_a_copy(tmp_path):
     assert np.array_equal(back.values, ds.values)
     matrix_bytes = ds.values.nbytes
     assert peak < 1.75 * matrix_bytes, f"peak {peak} B for a {matrix_bytes} B matrix"
+
+
+@pytest.mark.parametrize(
+    "values, match",
+    [
+        (np.zeros(3), "2-d matrix"),
+        (np.zeros((1, 2)), "at least 2 rows"),
+        (np.zeros((3, 0)), "at least 1 column"),
+        (np.array([[0.0, 1.0], [np.nan, 2.0]]), "non-finite"),
+        (np.array([[0.0, np.inf], [1.0, 2.0]]), "non-finite"),
+    ],
+    ids=["one-dimensional", "one-row", "no-column", "nan", "inf"],
+)
+def test_dataset_rejects_an_unusable_matrix(values, match):
+    with pytest.raises(DataError, match=match):
+        Dataset(values)
 
 
 def test_dataset_copies_a_callers_array():

@@ -74,6 +74,21 @@ def test_evaluate_extremes():
     assert abs(evaluate(ds, Partition.from_labels(ds, np.zeros(ds.n))).r2) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "labels, match",
+    [
+        ([0, 1], "shape"),
+        ([0, -1, 1], "non-negative"),
+        ([0, 2, 0], "dense"),
+        ([0.9, 0.2, 1.7], "integers"),  # once truncated to [0, 0, 1]
+    ],
+    ids=["wrong-shape", "negative", "gap", "fractional"],
+)
+def test_from_labels_rejects_bad_labels(labels, match):
+    with pytest.raises(ValueError, match=match):
+        Partition.from_labels(three_point_line(), labels)
+
+
 def test_evaluate_hand_example():
     ds = three_point_line()
     p = Partition.from_labels(ds, [0, 1, 0])  # {1,3},{2}

@@ -216,6 +216,8 @@ def test_vns_config_validation():
         VnsConfig(time_limit_seconds=0)
     with pytest.raises(ValueError):  # NaN once meant no limit
         VnsConfig(time_limit_seconds=math.nan)
+    with pytest.raises(ValueError, match="seed"):
+        VnsConfig(seed=-1)
 
 
 @settings(max_examples=10, deadline=None)

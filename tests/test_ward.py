@@ -70,6 +70,15 @@ def test_warm_start_requires_feasible_partition():
         wards_gc_from(ds, Partition.from_labels(ds, [0, 0, 0]), 0.5)
 
 
+@pytest.mark.parametrize("n, m", [(6, 2), (4, 3)], ids=["more-rows", "more-columns"])
+def test_warm_start_rejects_a_partition_of_another_dataset(n, m):
+    # both once ran to a result: six labels for four rows, or 3-column sums
+    ds = generate(InstanceSpec(Distribution.NORMAL01, 4, 2, 3))
+    start = Partition.singletons(generate(InstanceSpec(Distribution.NORMAL01, n, m, 3)))
+    with pytest.raises(ValueError, match="does not fit the 4 x 2 dataset"):
+        wards_gc_from(ds, start, 0.05)
+
+
 @settings(max_examples=25, deadline=None)
 @given(small_dataset(min_n=4, max_n=12, max_m=3), st.floats(0.3, 0.95))
 def test_result_is_feasible_and_boundary_tight(ds, r2t):
