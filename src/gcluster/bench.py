@@ -173,7 +173,6 @@ def run_suite(
     specs: Iterable[tuple[InstanceSpec, Sequence[float]]],
     algos: Sequence[str],
     cfg: VnsConfig,
-    with_attribute_r2: bool = False,
 ) -> list[BenchRow]:
     """Generate, standardize, and solve every (instance, threshold, algorithm)
     combination, in input order.
@@ -208,9 +207,9 @@ def run_suite(
                         elapsed_seconds=elapsed,
                         seed=spec.seed,
                         r2_per_attribute=(
-                            tuple(float(v) for v in summary.r2_per_attribute)
-                            if summary is not None and with_attribute_r2
-                            else None
+                            None
+                            if summary is None
+                            else tuple(float(v) for v in summary.r2_per_attribute)
                         ),
                         error=error,
                     )

@@ -36,10 +36,6 @@ EXIT_DATA = 3
 EXIT_SOLVER = 4
 
 
-class UsageError(Exception):
-    """Bad flag values or flag combinations (exit code 2)."""
-
-
 def _standardization_record(ds: Dataset) -> dict | None:
     if not ds.standardized:
         return {"applied": False}
@@ -70,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic instance CSV")
-    gen.add_argument("--dist", choices=["normal", "uniform"], required=True)
+    gen.add_argument("--dist", choices=[d.value for d in Distribution], required=True)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--m", type=int, required=True)
     gen.add_argument("--seed", type=int, required=True)
@@ -110,7 +106,7 @@ def cmd_gen(args) -> int:
     try:
         spec = InstanceSpec(Distribution(args.dist), args.n, args.m, args.seed)
     except DataError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValueError(str(exc)) from None  # a bad flag value: exit 2, not 3
     ds = generate(spec)
     write_csv(ds, args.out)
     print(instance_name(spec))
@@ -178,19 +174,19 @@ def cmd_oracle(args) -> int:
 
 def cmd_bench(args) -> int:
     if (args.preset is None) == (args.config is None):
-        raise UsageError("provide exactly one of --preset or --config")
+        raise ValueError("provide exactly one of --preset or --config")
     cfg = VnsConfig(r_max=args.rmax, time_limit_seconds=args.time_limit)
     if args.preset is not None:
         if args.seeds < 1:
-            raise UsageError("--seeds must be >= 1")
+            raise ValueError("--seeds must be >= 1")
         specs = bench.preset_specs(args.preset, list(range(1, args.seeds + 1)))
         algos = list(bench.ALGORITHMS)
     else:
         specs, algos, cfg = _load_bench_config(args.config, cfg)
     if not specs or not algos:
-        raise UsageError("benchmark suite is empty")
+        raise ValueError("benchmark suite is empty")
 
-    rows = bench.run_suite(specs, algos, cfg, with_attribute_r2=args.per_attribute)
+    rows = bench.run_suite(specs, algos, cfg)
     bench.rows_to_csv(rows, args.out)
     print(bench.render_table(rows), end="")
     if args.per_attribute:
@@ -282,9 +278,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

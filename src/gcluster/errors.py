@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: usage problems are caught at argument
-parsing, DataError family -> 3, SolverError family -> 4.
+The CLI maps these onto exit codes: DataError family -> 3, SolverError
+family -> 4. Usage problems exit 2: argparse's own, and any other
+``ValueError`` (a bad flag value or combination).
 """
 
 

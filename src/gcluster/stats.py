@@ -139,12 +139,15 @@ class Partition:
     def from_labels(cls, ds: Dataset, labels) -> "Partition":
         """Build a partition (and its stats) from a dense integer label vector."""
         raw = np.asarray(labels)
-        labels = raw.astype(np.int64, copy=False)
-        if labels.shape != (ds.n,):
-            raise ValueError(f"labels must have shape ({ds.n},), got {labels.shape}")
-        if raw.dtype.kind not in "iu" and (labels != raw).any():
+        if raw.shape != (ds.n,):
+            raise ValueError(f"labels must have shape ({ds.n},), got {raw.shape}")
+        # checked before the cast, which warns on NaN, inf and out-of-range values
+        if raw.dtype.kind not in "iu" and not (
+            (np.abs(raw) < 2.0**63) & (np.trunc(raw) == raw)
+        ).all():
             raise ValueError("labels must be integers")
-        if labels.size == 0 or labels.min() < 0:
+        labels = raw.astype(np.int64, copy=False)
+        if labels.min() < 0:
             raise ValueError("labels must be non-negative")
         k = int(labels.max()) + 1
         sizes = np.bincount(labels, minlength=k)

@@ -59,6 +59,8 @@ class VnsConfig:
             raise ValueError(f"time_limit_seconds must be positive, got {self.time_limit_seconds}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.seed >= 2**64:  # InstanceSpec's bound
+            raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
 @dataclass
@@ -149,12 +151,6 @@ def shake(
     return stats.apply_removals(ds, p_star, _draw(ranking, ds.n, r, rng))
 
 
-def _run_starter(ds: Dataset, r2t: float, starter: Starter) -> Partition:
-    if starter is Starter.WARDS:
-        return ward.wards_gc(ds, r2t)
-    return kmeans.kmeans_gc(ds, r2t)
-
-
 def vns_gc(ds: Dataset, r2t: float, cfg: VnsConfig) -> tuple[Partition, VnsTrace]:
     """Run the configured starter, then shake-and-rebuild until r_max or the
     time limit. The returned partition is feasible and never has more groups
@@ -163,7 +159,8 @@ def vns_gc(ds: Dataset, r2t: float, cfg: VnsConfig) -> tuple[Partition, VnsTrace
     rng = np.random.default_rng(cfg.seed)
     trace = VnsTrace()
 
-    p_star = _run_starter(ds, r2t, cfg.starter)
+    starter = ward.wards_gc if cfg.starter is Starter.WARDS else kmeans.kmeans_gc
+    p_star = starter(ds, r2t)
     # every rebuild starts from the incumbent's stored drop matrix (8*k^2
     # bytes; a rebuild holds a second, larger one), and every shake from its
     # ranking: both are made once per incumbent

@@ -101,7 +101,7 @@ def test_run_suite_rows_are_feasible_and_ordered():
 
 
 def test_run_suite_attaches_per_attribute_ratios():
-    rows = run_suite(tiny_suite()[:1], ["wards"], VnsConfig(), with_attribute_r2=True)
+    rows = run_suite(tiny_suite()[:1], ["wards"], VnsConfig())
     (row,) = rows
     assert row.r2_per_attribute is not None and len(row.r2_per_attribute) == 2
     spec = tiny_suite()[0][0]
@@ -122,7 +122,7 @@ def test_run_suite_evaluates_each_row_once(monkeypatch):
         return real(ds, p)
 
     monkeypatch.setattr(stats, "evaluate", counted)
-    rows = run_suite(tiny_suite(), ["wards", "vns-wards"], VnsConfig(r_max=5), with_attribute_r2=True)
+    rows = run_suite(tiny_suite(), ["wards", "vns-wards"], VnsConfig(r_max=5))
     assert len(rows) == 4 and all(row.error is None for row in rows)
     assert calls == [row.k for row in rows]
 

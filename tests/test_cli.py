@@ -255,6 +255,18 @@ def test_solve_rejects_a_negative_seed(tmp_path, capsys, algo):
     assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
 
 
+@pytest.mark.parametrize("algo", ["wards", "kmeans", "vns-wards", "vns-kmeans"])
+def test_solve_rejects_a_seed_above_64_bits(tmp_path, capsys, algo):
+    # every algorithm once ran to exit 0, while gen exits 2 on the same seed
+    path = gen_instance(tmp_path, n=20, m=2, seed=1)
+    capsys.readouterr()
+    code = run_cli(
+        "solve", "--algo", algo, "--r2t", "0.6", "--input", str(path), "--seed", str(2**64)
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: seed must fit in an unsigned 64-bit integer\n"
+
+
 def test_solve_without_standardize_reports_raw_data(tmp_path):
     path = gen_instance(tmp_path, n=30, m=2, seed=2)
     report_path = tmp_path / "r.json"

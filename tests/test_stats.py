@@ -81,8 +81,11 @@ def test_evaluate_extremes():
         ([0, -1, 1], "non-negative"),
         ([0, 2, 0], "dense"),
         ([0.9, 0.2, 1.7], "integers"),  # once truncated to [0, 0, 1]
+        ([0, math.nan, 1], "integers"),  # these three once warned in the cast first
+        ([0, math.inf, 1], "integers"),
+        ([0, 1e300, 1], "integers"),
     ],
-    ids=["wrong-shape", "negative", "gap", "fractional"],
+    ids=["wrong-shape", "negative", "gap", "fractional", "nan", "inf", "huge"],
 )
 def test_from_labels_rejects_bad_labels(labels, match):
     with pytest.raises(ValueError, match=match):

@@ -218,6 +218,8 @@ def test_vns_config_validation():
         VnsConfig(time_limit_seconds=math.nan)
     with pytest.raises(ValueError, match="seed"):
         VnsConfig(seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        VnsConfig(seed=2**64)
 
 
 @settings(max_examples=10, deadline=None)
