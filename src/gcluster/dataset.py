@@ -148,15 +148,23 @@ def standardize(ds: Dataset) -> Dataset:
     Constant columns cannot be scaled; they are zeroed and reported in the
     returned dataset's ``degenerate_columns``. Raises
     :class:`DegenerateDataError` if every column is constant, and
-    :class:`DataError` naming a column whose spread is above the constant
-    guard but still too small against its magnitude for float64 to center
-    it (the z-scored mean keeps an error of about eps * |mean| / sd).
+    :class:`DataError` naming a column whose mean or sd overflows float64,
+    or whose spread is above the constant guard but still too small against
+    its magnitude for float64 to center it (the z-scored mean keeps an error
+    of about eps * |mean| / sd).
     """
     if ds.standardized:
         raise DataError("dataset is already standardized")
     v = ds.values
-    means = v.mean(axis=0)
-    sds = v.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = v.mean(axis=0)
+        sds = v.std(axis=0, ddof=1)
+    if not np.isfinite(sds).all():
+        j = np.flatnonzero(~np.isfinite(sds))[0]
+        raise DataError(
+            f"column {j} cannot be z-scored in float64: its mean or spread overflows"
+            f" (sd {sds[j]:.3g}, mean {means[j]:.6g})"
+        )
     out = np.abs(v)  # the one n x m array: |x| first, then the result
     scale = np.maximum(out.max(axis=0), 1.0)
     degenerate = sds <= _DEGENERATE_REL_SD * scale

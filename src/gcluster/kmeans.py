@@ -32,7 +32,7 @@ sum, and the plain rule picks among those.
 
 Everything here is deterministic: no randomness, ties broken by lowest index.
 Distances are evaluated in chunks so no n x n matrix is ever materialized;
-one helper computes them all, squared.
+one helper, :func:`stats.sq_distances`, computes them all, squared.
 """
 
 from __future__ import annotations
@@ -88,11 +88,8 @@ def _chunks(count: int, per_item: int):
 
 
 def _sq_distances(X: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape (len(X), len(targets)). Callers
-    chunk with :func:`_chunks`; medoid code takes ``np.sqrt`` of the result,
-    Lloyd compares the squares directly."""
-    diff = X[:, None, :] - targets[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared distances, (len(X), len(targets)), on attribute-major copies."""
+    return stats.sq_distances(X.T.copy()[:, :, None], targets.T.copy()[:, None, :])
 
 
 def _column(X: np.ndarray, j: int) -> np.ndarray:
@@ -143,8 +140,8 @@ def _swap_nearest_two(
     Only rows whose nearest medoid left, or whose second-nearest may have,
     are recomputed. The rest keep their two nearest and compare the
     newcomer, which wins a tie for nearest when its position is lower.
-    einsum gives a pair the same bits whatever block it sits in (the tests
-    check this), so the result equals a full recompute.
+    :func:`stats.sq_distances` gives a pair the same bits whatever block it
+    sits in, so the result equals a full recompute.
     """
     redo = np.flatnonzero((nearest == pos) | (d_out <= d2))
     nearest = np.where((d_in < d1) | ((d_in == d1) & (pos < nearest)), pos, nearest)

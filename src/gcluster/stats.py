@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DegenerateDataError, SolverError
+from .errors import DataError, DegenerateDataError, SolverError
 
 # Agreement required between incrementally maintained and recomputed sums.
 REL_TOL = 1e-9
@@ -65,15 +65,25 @@ def sst(ds: Dataset) -> SstSummary:
     Cached on the Dataset it describes. Raises :class:`DegenerateDataError` when
     every attribute's variance is negligible (at most 1e-12 of the
     attribute's scale): SST is then 0 up to round-off and R^2 is undefined.
-    Identical rows are the common case, but not the only one.
+    Identical rows are the common case, but not the only one. Raises
+    :class:`DataError` naming a column when the sums overflow float64:
+    a squared distance between two rows reaches 2 * SST, so 4 * SST must
+    stay finite for every sum the solvers take.
     """
     if ds._sst is not None:
         return ds._sst
-    means = ds.values.mean(axis=0)
-    per = np.sum((ds.values - means) ** 2, axis=0)
-    scale = np.maximum(np.abs(ds.values).max(axis=0), 1.0)
-    degenerate = per <= (1e-12 * scale) ** 2 * ds.n
-    total = float(per.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = ds.values.mean(axis=0)
+        per = np.sum((ds.values - means) ** 2, axis=0)
+        scale = np.maximum(np.abs(ds.values).max(axis=0), 1.0)
+        degenerate = per <= (1e-12 * scale) ** 2 * ds.n
+        total = float(per.sum())
+    if not math.isfinite(4.0 * total):
+        j = int(np.argmax(np.where(np.isfinite(per), per, np.inf)))
+        raise DataError(
+            f"column {j} is too large for float64: its sum of squares around its "
+            f"mean is {per[j]:.3g}, and the solvers need 4 * SST finite; rescale the data"
+        )
     if bool(degenerate.all()):
         raise DegenerateDataError(
             "every attribute's variance is negligible (at most 1e-12 of its "
@@ -143,8 +153,8 @@ class Partition:
             raise ValueError(f"labels must have shape ({ds.n},), got {raw.shape}")
         # checked before the cast, which warns on NaN, inf and out-of-range values
         if raw.dtype.kind not in "iu" and not (
-            (np.abs(raw) < 2.0**63) & (np.trunc(raw) == raw)
-        ).all():
+            raw.dtype.kind in "bf" and ((np.abs(raw) < 2.0**63) & (np.trunc(raw) == raw)).all()
+        ):
             raise ValueError("labels must be integers")
         labels = raw.astype(np.int64, copy=False)
         if labels.min() < 0:
@@ -190,6 +200,21 @@ def group_sums(values: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     Rows are added in ascending order, as ``np.add.at`` adds them, so the bits
     are the same."""
     return np.stack([np.bincount(labels, col, k) for col in values.T], axis=1)
+
+
+def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between attribute-major arrays (m, ...) that broadcast,
+    summed by halving the attribute axis, an odd last slab onto the first (left to
+    right for m <= 3): elementwise, so bitwise symmetric and the same in any block."""
+    d = a - b
+    d *= d
+    while len(d) > 1:
+        h = len(d) // 2
+        d[:h] += d[h : 2 * h]
+        if len(d) % 2:
+            d[0] += d[-1]
+        d = d[:h]
+    return d[0]
 
 
 def _ssb_per_attribute(ds: Dataset, sizes: np.ndarray, cent: np.ndarray) -> np.ndarray:

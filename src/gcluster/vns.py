@@ -78,13 +78,12 @@ def _rank(ds: Dataset, p_star: Partition) -> _Ranking:
     """Shake's candidates in rank order, each element's group and the group
     sizes, as Python ints for the coin loop. They depend on the incumbent
     alone, so :func:`vns_gc` ranks each incumbent once."""
-    total = stats.sst(ds).total
     assignment = p_star.assignment
     eligible = np.flatnonzero(p_star.sizes[assignment] >= 2)
     centroids = p_star.sums / p_star.sizes[:, None]
-    diffs = ds.values[eligible] - centroids[assignment[eligible]]
+    sq = stats.sq_distances(ds.values[eligible].T, centroids[assignment[eligible]].T)
     sizes = p_star.sizes[assignment[eligible]].astype(np.float64)
-    effects = sizes / (sizes - 1.0) * np.einsum("ij,ij->i", diffs, diffs) / total
+    effects = sizes / (sizes - 1.0) * sq / stats.sst(ds).total
     order = np.lexsort((eligible, -effects))
     return eligible[order].tolist(), assignment.tolist(), p_star.sizes.tolist()
 

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import assume
@@ -61,3 +64,26 @@ def nearly_constant_column(n=8, seed=0):
     float64, where the z-scored mean keeps an error of about 1e-7."""
     rng = np.random.default_rng(seed)
     return Dataset(np.column_stack([rng.normal(size=n), 3000 + 3e-6 * rng.normal(size=n)]))
+
+
+class DeadlineExceeded(BaseException):
+    """Raised by :func:`deadline`. It is not an ``Exception``, so no handler
+    in the code under test can turn a hang into an exit code: ``cli.main``
+    maps ``OSError``, and so ``TimeoutError``, to exit 3."""
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise :class:`DeadlineExceeded` in the block once it has run for
+    ``seconds`` of wall time (SIGALRM, so the main thread only)."""
+
+    def expire(signum, frame):
+        raise DeadlineExceeded(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -20,8 +20,19 @@ def _chunks(count, per_item):
 
 
 def _distances(X, targets):
-    diff = X[:, None, :] - targets[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    """Euclidean distances, shape (len(X), len(targets)), with the squares
+    summed in the library's order: halve the attributes until one is left,
+    adding attribute h + j onto attribute j and then an odd last attribute
+    onto attribute 0."""
+    diff = X.T[:, :, None] - targets.T[:, None, :]
+    terms = list(diff * diff)
+    while len(terms) > 1:
+        h = len(terms) // 2
+        odd = terms[2 * h :]
+        terms = [terms[j] + terms[h + j] for j in range(h)]
+        if odd:
+            terms[0] = terms[0] + odd[0]
+    return np.sqrt(terms[0])
 
 
 def _nearest_two(X, points):

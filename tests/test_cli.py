@@ -3,10 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gcluster
 import gcluster.bench as bench_mod
@@ -23,7 +26,7 @@ from gcluster import (
 )
 from gcluster.cli import main
 
-from conftest import nearly_constant_column
+from conftest import deadline, nearly_constant_column
 
 
 def run_cli(*argv):
@@ -311,6 +314,75 @@ def test_solve_names_a_column_standardize_cannot_center(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "column 1 cannot be z-scored in float64" in err and "flag" not in err
+
+
+# deviations of 5e307 square to inf: the chain once looped forever on the NaN
+# drops, kmeans blamed the solver (exit 4), and standardize called sd inf small
+OVERFLOWING_CSV = "-1e308,0.5\n0.1,0.2\n"
+
+
+@pytest.mark.parametrize("algo", ["wards", "kmeans", "vns-wards", "vns-kmeans"])
+@pytest.mark.parametrize("flags", [[], ["--standardize"]], ids=["raw", "standardized"])
+def test_solve_rejects_values_too_large_to_square(tmp_path, capsys, algo, flags):
+    path = tmp_path / "huge.csv"
+    path.write_text(OVERFLOWING_CSV)
+    with deadline(5):
+        code = run_cli("solve", "--algo", algo, "--r2t", "0.5", "--input", str(path), *flags)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: column 0 ")
+    assert ("spread overflows" if flags else "too large for float64") in err
+
+
+_ODD_CELLS = st.sampled_from([
+    "1e308", "-1.7976931348623157e308", "1e154", "-9e153", "1e-320", "-4.9e-324", "-0.0",
+    "1_000", "nan", "NaN", "-nan", "inf", "-Infinity", "1e400", "", "x",
+])
+
+
+@st.composite
+def messy_csv(draw):
+    """Text of at most 8 rows and 4 columns: finite values, each column at
+    its own magnitude, a few cells swapped for extreme magnitudes or NaN and
+    inf spellings, maybe a ragged row, maybe a header."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    scales = [draw(st.sampled_from([1.0, 1.0, 1e-300, 1e150, 1e300])) for _ in range(m)]
+    rows = [[repr(draw(st.floats(-10, 10)) * c) for c in scales] for _ in range(n)]
+    for _ in range(draw(st.integers(-2, 2))):  # none in three draws of five
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, m - 1))] = draw(_ODD_CELLS)
+    if draw(st.integers(0, 3)) == 3:
+        i = draw(st.integers(0, n - 1))
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1"]
+    lines = [",".join(row) for row in rows]
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(f"x{j}" for j in range(m)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=messy_csv(),
+    algo=st.sampled_from(bench_mod.ALGORITHMS),
+    standardized=st.booleans(),
+    r2t=st.sampled_from([0.3, 0.6, 0.9]),
+)
+@example(text=OVERFLOWING_CSV, algo="wards", standardized=False, r2t=0.5)
+def test_solve_exits_with_a_documented_code(text, algo, standardized, r2t):
+    # exit 0 only with a finite R^2 that a from-scratch evaluation certifies
+    with tempfile.TemporaryDirectory() as tmp:
+        path, report = Path(tmp) / "data.csv", Path(tmp) / "report.json"
+        path.write_text(text)
+        argv = ["solve", "--algo", algo, "--r2t", str(r2t), "--input", str(path)]
+        argv += ["--rmax", "3", "--report", str(report)] + ["--standardize"] * standardized
+        with deadline(10):
+            code = run_cli(*argv)
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            out = json.loads(report.read_text())
+            assert math.isfinite(out["r2"]) and stats.meets_threshold(out["r2"], r2t)
+            ds = standardize(load_csv(path)) if standardized else load_csv(path)
+            certified = evaluate(ds, Partition.from_labels(ds, out["assignment"]))
+            assert certified.r2 == out["r2"]
 
 
 def test_solve_is_deterministic_modulo_time(tmp_path):

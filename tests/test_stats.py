@@ -18,7 +18,8 @@ from gcluster import (
     standardize,
     wards_gc,
 )
-from gcluster.stats import group_sums, merge_drop
+from gcluster.errors import DataError
+from gcluster.stats import group_sums, merge_drop, sq_distances
 
 from conftest import dataset_with_partition, tie_heavy_dataset
 
@@ -50,6 +51,16 @@ def test_sst_negligible_variance_is_not_called_identical_rows():
     with pytest.raises(DegenerateDataError, match="negligible") as info:
         sst(Dataset(np.array([[0.0], [2.3e-308]])))
     assert "identical" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[-1e308, 0.5], [0.1, 0.2]], [[0.5, 9e153], [0.2, -9e153]]],
+    ids=["squares-overflow", "no-headroom"],  # SST finite, the rows' squared distance not
+)
+def test_sst_names_a_column_too_large_for_float64(rows):
+    with pytest.raises(DataError, match="column [01] is too large for float64"):
+        sst(Dataset(np.array(rows)))
 
 
 def test_sst_is_computed_once_per_dataset():
@@ -84,8 +95,9 @@ def test_evaluate_extremes():
         ([0, math.nan, 1], "integers"),  # these three once warned in the cast first
         ([0, math.inf, 1], "integers"),
         ([0, 1e300, 1], "integers"),
+        (np.array(["0", "1", "0"]), "integers"),  # once numpy's UFuncTypeError
     ],
-    ids=["wrong-shape", "negative", "gap", "fractional", "nan", "inf", "huge"],
+    ids=["wrong-shape", "negative", "gap", "fractional", "nan", "inf", "huge", "strings"],
 )
 def test_from_labels_rejects_bad_labels(labels, match):
     with pytest.raises(ValueError, match=match):
@@ -338,3 +350,52 @@ def test_group_sums_match_add_at_bit_for_bit(seed, kind):
         values = rng.normal(size=(n, m)) * 1e6
     labels = rng.integers(0, k, size=n)
     assert group_sums(values, labels, k).tobytes() == _add_at_sums(values, labels, k).tobytes()
+
+
+def _halving_mirror(x, y):
+    """sq_distances of one pair in plain Python floats: square the
+    differences, then halve the list, adding entry h + j onto entry j and
+    an odd last entry onto entry 0, until one is left."""
+    terms = [(a - b) * (a - b) for a, b in zip(x, y)]
+    while len(terms) > 1:
+        h = len(terms) // 2
+        odd = terms[2 * h :]
+        terms = [terms[j] + terms[h + j] for j in range(h)]
+        if odd:
+            terms[0] += odd[0]
+    return terms[0]
+
+
+@st.composite
+def point_sets(draw):
+    """Two attribute-major point sets, (m, p) and (m, q), whose columns come
+    from a small pool, so duplicate, shared and tied columns are common."""
+    m = draw(st.integers(1, 12))
+    value = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e100, 1e100))
+    pool = [[draw(value) for _ in range(m)] for _ in range(draw(st.integers(1, 4)))]
+    column = st.sampled_from(pool)
+    a = [draw(column) for _ in range(draw(st.integers(1, 5)))]
+    b = [draw(column) for _ in range(draw(st.integers(1, 5)))]
+    return np.array(a).T, np.array(b).T
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets(), st.data())
+def test_sq_distances_is_one_fixed_summation_order(sets, data):
+    a, b = sets
+    d = sq_distances(a[:, :, None], b[:, None, :])
+    mirror = [[_halving_mirror(x, y) for y in b.T.tolist()] for x in a.T.tolist()]
+    assert d.tobytes() == np.array(mirror).tobytes()
+    assert sq_distances(b[:, :, None], a[:, None, :]).tobytes() == d.T.tobytes()
+    # a sub-block, by fancy index or slice or paired, from C- or F-ordered copies
+    rows = data.draw(st.lists(st.integers(0, a.shape[1] - 1), min_size=1, max_size=6))
+    lo = data.draw(st.integers(0, b.shape[1] - 1))
+    hi = data.draw(st.integers(lo + 1, b.shape[1]))
+    sub = sq_distances(np.asfortranarray(a)[:, rows, None], b[:, None, lo:hi])
+    assert sub.tobytes() == d[rows, lo:hi].tobytes()
+    cols = [lo] * len(rows)
+    paired = sq_distances(np.ascontiguousarray(a.T)[rows].T, b[:, cols])
+    assert paired.tobytes() == d[rows, cols].tobytes()
+    assert (d >= 0).all()
+    same = (a[:, :, None] == b[:, None, :]).all(axis=0)
+    assert (d[same] == 0).all()

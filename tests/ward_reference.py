@@ -5,9 +5,10 @@ smallest R^2 drop with the lexicographic (a, b) tie-break, the choice of the
 stored-matrix merges. ``chain_reference`` is a plain nearest-neighbour chain
 with Muellner's tie rule, the choice of the cold chain. Both are slow but
 obviously right. Each drop uses the same arithmetic as the library's
-``_Nearest.drops`` (bitwise symmetric in the pair), so the library's
-choices and deltas must match them bit for bit. Kept self-contained so a
-change to the library cannot move it.
+``_Nearest.drops``, its squared distance summed in the same order (bitwise
+symmetric in the pair), so the library's choices and deltas must match
+them bit for bit. Kept self-contained so a change to the library cannot
+move it.
 """
 
 from typing import NamedTuple
@@ -26,11 +27,25 @@ class MergeCandidate(NamedTuple):
     b: int
 
 
+def _sq_norms(diff):
+    """Row sums of squares of ``diff``, in the order the library sums them:
+    halve the columns until one is left, adding column h + j onto column j
+    and then an odd last column onto column 0."""
+    cols = list(diff.T * diff.T)
+    while len(cols) > 1:
+        h = len(cols) // 2
+        odd = cols[2 * h :]
+        cols = [cols[j] + cols[h + j] for j in range(h)]
+        if odd:
+            cols[0] = cols[0] + odd[0]
+    return cols[0]
+
+
 def _drops_vs(sizes, sums, g, others):
     sg = float(sizes[g])
     so = sizes[others].astype(np.float64)
     diff = sums[others] / so[:, None] - sums[g] / sg
-    return so * sg / (so + sg) * np.einsum("ij,ij->i", diff, diff)
+    return so * sg / (so + sg) * _sq_norms(diff)
 
 
 def best_merge_scan(ds, p):
