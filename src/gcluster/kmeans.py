@@ -429,6 +429,7 @@ def kmeans_gc(
     at the feasible endpoint.
     """
     stats.check_threshold(r2t)
+    stats.sst(ds)  # overflowing data: DataError here, before any distance
     a, b = 1, ds.n
     best = Partition.singletons(ds)
     opening = _GreedyOpening(ds)

@@ -317,15 +317,18 @@ def test_solve_names_a_column_standardize_cannot_center(tmp_path, capsys):
 
 
 # deviations of 5e307 square to inf: the chain once looped forever on the NaN
-# drops, kmeans blamed the solver (exit 4), and standardize called sd inf small
+# drops, kmeans blamed the solver (exit 4), and standardize called sd inf small;
+# with three rows kmeans probes k = 2, so its distances must not come first
 OVERFLOWING_CSV = "-1e308,0.5\n0.1,0.2\n"
+OVERFLOWING_CSV_3 = "-1e308,0.5\n0.1,0.2\n0.3,0.4\n"
 
 
 @pytest.mark.parametrize("algo", ["wards", "kmeans", "vns-wards", "vns-kmeans"])
 @pytest.mark.parametrize("flags", [[], ["--standardize"]], ids=["raw", "standardized"])
-def test_solve_rejects_values_too_large_to_square(tmp_path, capsys, algo, flags):
+@pytest.mark.parametrize("text", [OVERFLOWING_CSV, OVERFLOWING_CSV_3], ids=["n2", "n3"])
+def test_solve_rejects_values_too_large_to_square(tmp_path, capsys, text, algo, flags):
     path = tmp_path / "huge.csv"
-    path.write_text(OVERFLOWING_CSV)
+    path.write_text(text)
     with deadline(5):
         code = run_cli("solve", "--algo", algo, "--r2t", "0.5", "--input", str(path), *flags)
     assert code == 3
@@ -367,6 +370,8 @@ def messy_csv(draw):
     r2t=st.sampled_from([0.3, 0.6, 0.9]),
 )
 @example(text=OVERFLOWING_CSV, algo="wards", standardized=False, r2t=0.5)
+@example(text=OVERFLOWING_CSV_3, algo="kmeans", standardized=False, r2t=0.5)
+@example(text=OVERFLOWING_CSV_3, algo="vns-kmeans", standardized=False, r2t=0.5)
 def test_solve_exits_with_a_documented_code(text, algo, standardized, r2t):
     # exit 0 only with a finite R^2 that a from-scratch evaluation certifies
     with tempfile.TemporaryDirectory() as tmp:

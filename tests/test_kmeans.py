@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcluster import (
+    DataError,
     Dataset,
     Partition,
     SolverError,
@@ -185,6 +186,17 @@ def test_kmeans_gc_rejects_bad_threshold():
     ds = three_point_line()
     with pytest.raises(SolverError):
         kmeans_gc(ds, 1.0)
+
+
+def test_kmeans_gc_rejects_overflowing_data_before_any_distance(monkeypatch):
+    # squared deviations of 1e308 overflow: the opening's distances would be
+    # inf and its scores NaN, so the DataError must come before them
+    ds = Dataset(np.array([[-1e308, 0.5], [0.1, 0.2], [0.3, 0.4]]))
+    calls = []
+    monkeypatch.setattr(kmeans_module, "_sq_distances", lambda *a: calls.append(a))
+    with pytest.raises(DataError, match="column 0 is too large"):
+        kmeans_gc(ds, 0.5)
+    assert calls == []
 
 
 def test_kmeans_gc_probe_log_and_feasibility():
