@@ -32,7 +32,8 @@ sum, and the plain rule picks among those.
 
 Everything here is deterministic: no randomness, ties broken by lowest index.
 Distances are evaluated in chunks so no n x n matrix is ever materialized;
-one helper, :func:`stats.sq_distances`, computes them all, squared.
+one helper, :func:`stats.sq_distances`, computes them all, squared, on the
+attribute-major (m, n) copy of the data that each stage makes once.
 """
 
 from __future__ import annotations
@@ -87,32 +88,28 @@ def _chunks(count: int, per_item: int):
         yield lo, min(count, lo + step)
 
 
-def _sq_distances(X: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Squared distances, (len(X), len(targets)), on attribute-major copies."""
-    return stats.sq_distances(X.T.copy()[:, :, None], targets.T.copy()[:, None, :])
+def _column(XT: np.ndarray, j: int) -> np.ndarray:
+    """Euclidean distance of every column of the attribute-major XT to column j."""
+    return np.sqrt(stats.sq_distances(XT, XT[:, j : j + 1]))
 
 
-def _column(X: np.ndarray, j: int) -> np.ndarray:
-    """Euclidean distance of every row of X to row j."""
-    return np.sqrt(_sq_distances(X, X[j : j + 1])[:, 0])
-
-
-def _nearest_two(X: np.ndarray, points: np.ndarray, squared: bool = False):
-    """Nearest and second-nearest of ``points`` for every row of X.
+def _nearest_two(XT: np.ndarray, PT: np.ndarray, squared: bool = False):
+    """Nearest and second-nearest of the points PT for every point of XT, both
+    attribute-major: (m, n) and (m, p).
 
     Returns (nearest_index, nearest_dist, second_dist); second_dist is +inf
     when there is a single point. Ties resolve to the lowest index. Distances
     are Euclidean, or squared when ``squared`` is set: the square root can
-    round two different squares to one value and so create ties. Rows are
-    taken a block at a time, each against every point, so a block writes
-    its slice of the result directly.
+    round two different squares to one value and so create ties. Points of
+    XT are taken a block at a time, each against every point of PT, so a
+    block writes its slice of the result directly.
     """
-    n = len(X)
+    n = XT.shape[1]
     nearest = np.empty(n, dtype=np.int64)
     d1 = np.empty(n)
     d2 = np.empty(n)
-    for lo, hi in _chunks(n, len(points) * X.shape[1]):
-        block = _sq_distances(X[lo:hi], points)
+    for lo, hi in _chunks(n, PT.size):
+        block = stats.sq_distances(XT[:, lo:hi, None], PT[:, None, :])
         if not squared:
             np.sqrt(block, out=block)
         rows = np.arange(hi - lo)
@@ -124,7 +121,7 @@ def _nearest_two(X: np.ndarray, points: np.ndarray, squared: bool = False):
 
 
 def _swap_nearest_two(
-    X: np.ndarray,
+    XT: np.ndarray,
     medoids: list[int],
     pos: int,
     d_out: np.ndarray,
@@ -133,7 +130,7 @@ def _swap_nearest_two(
     d1: np.ndarray,
     d2: np.ndarray,
 ):
-    """:func:`_nearest_two` of ``X[medoids]`` after ``medoids[pos]`` was
+    """:func:`_nearest_two` of the ``medoids`` of XT after ``medoids[pos]`` was
     replaced; ``d_out`` and ``d_in`` are the distances to the medoid that
     left and the one that came in.
 
@@ -147,13 +144,13 @@ def _swap_nearest_two(
     nearest = np.where((d_in < d1) | ((d_in == d1) & (pos < nearest)), pos, nearest)
     d2 = np.where(d_in <= d1, d1, np.minimum(d2, d_in))
     d1 = np.minimum(d1, d_in)
-    nearest[redo], d1[redo], d2[redo] = _nearest_two(X[redo], X[medoids])
+    nearest[redo], d1[redo], d2[redo] = _nearest_two(XT.take(redo, 1), XT.take(medoids, 1))
     return nearest, d1, d2
 
 
 def _assign_to_medoids(medoids: list[int], nearest: np.ndarray, d1: np.ndarray):
     """Assignment and total cost from :func:`_nearest_two`'s ``nearest`` and
-    ``d1`` for ``X[medoids]`` (not modified); each medoid is pinned to its own
+    ``d1`` for the medoids (not modified); each medoid is pinned to its own
     slot so every slot stays non-empty even with duplicate points."""
     assignment = nearest.copy()
     assignment[medoids] = np.arange(len(medoids))
@@ -162,26 +159,17 @@ def _assign_to_medoids(medoids: list[int], nearest: np.ndarray, d1: np.ndarray):
     return assignment, float(d1.sum())
 
 
-def _opening_costs(X: np.ndarray, d: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Cost sum_i min(d_i, |x_i - x_j|) of opening each column j of ``cols``
-    (ascending), bit for bit as a pass over all n columns computes it.
-
-    Such a pass sums (n, w) chunks of columns down axis 0, which numpy does
-    row by row for every w >= 2 but pairwise for a lone column. So the
-    columns of ``cols`` are summed within the full pass's chunks, and a
-    lone column from a wider chunk is summed next to a copy of itself.
+def _opening_costs(XT: np.ndarray, d: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Cost sum_i min(d_i, |x_i - x_j|) of opening each column j of ``cols``,
+    summed row by row whichever columns share its block: numpy sums an (n, w)
+    block down axis 0 row by row for w >= 2 but a lone column pairwise, so a
+    one-column block is padded with a copy of its column.
     """
-    n = len(X)
     out = np.empty(len(cols))
-    for lo, hi in _chunks(n, n * X.shape[1]):
-        a, b = np.searchsorted(cols, [lo, hi])
-        if a == b:
-            continue
-        sel = cols[a:b]
-        if len(sel) == 1 and hi - lo > 1:
-            sel = np.repeat(sel, 2)
-        block = np.sqrt(_sq_distances(X, X[sel]))
-        out[a:b] = np.minimum(d[:, None], block).sum(axis=0)[: b - a]
+    for lo, hi in _chunks(len(cols), XT.size):
+        sel = cols[lo:hi] if hi - lo > 1 else np.repeat(cols[lo:hi], 2)
+        block = np.sqrt(stats.sq_distances(XT[:, :, None], XT.take(sel, 1)[:, None, :]))
+        out[lo:hi] = np.minimum(d[:, None], block).sum(axis=0)[: hi - lo]
     return out
 
 
@@ -217,22 +205,22 @@ class _GreedyOpening:
     """
 
     def __init__(self, ds: Dataset):
-        self.X = ds.values
+        self.XT = np.ascontiguousarray(ds.values.T)
         self.medoids: list[int] = []
         self.d = np.full(ds.n, np.inf)
-        self.scores = _opening_costs(self.X, self.d, np.arange(ds.n))  # running costs
+        self.scores = _opening_costs(self.XT, self.d, np.arange(ds.n))  # running costs
         self.tol = 1e-9 * max(float(self.scores.max()), 1.0)
         self.windows: list[np.ndarray] = []  # ranking window of each opening
 
     def extend(self, p: int) -> None:
         """Open medoids until ``p`` are open."""
-        X, n = self.X, len(self.X)
+        XT, n = self.XT, self.XT.shape[1]
         while len(self.medoids) < p:
             if self.medoids:
                 self._fold_in(self.medoids[-1])
             scores = self.scores
             near = np.flatnonzero(scores <= scores.min() + self.tol)
-            chosen = int(near[np.argmin(_opening_costs(X, self.d, near))])
+            chosen = int(near[np.argmin(_opening_costs(XT, self.d, near))])
             # the window of opening p = len(self.medoids) + 1 (class docstring)
             rank = min(2 * len(self.medoids) + 3, n - len(self.medoids))
             edge = np.partition(scores, rank - 1)[rank - 1]
@@ -240,13 +228,14 @@ class _GreedyOpening:
             self.medoids.append(chosen)
 
     def _fold_in(self, opened: int) -> None:
-        X, d, scores = self.X, self.d, self.scores
-        d_new = np.minimum(d, _column(X, opened))
+        XT, d, scores = self.XT, self.d, self.scores
+        d_new = np.minimum(d, _column(XT, opened))
         rows = np.flatnonzero(d_new < d)
         scores[opened] = np.inf
         old, new = d[rows, None], d_new[rows, None]
-        for lo, hi in _chunks(len(X), len(rows) * X.shape[1]):
-            block = np.sqrt(_sq_distances(X[rows], X[lo:hi]))
+        moved = XT.take(rows, 1)[:, :, None]
+        for lo, hi in _chunks(XT.shape[1], moved.size):
+            block = np.sqrt(stats.sq_distances(moved, XT[:, None, lo:hi]))
             gain = np.minimum(old, block)
             gain -= np.minimum(new, block, out=block)
             scores[lo:hi] -= gain.sum(axis=0)
@@ -264,7 +253,8 @@ class _GreedyOpening:
         is within tol / 2 of the exact cost (the bound the opening's own
         screen rests on), so the 2p + 1 exactly cheapest columns outside
         the first p - 1 medoids, the p-th medoid among them, all lie in the
-        window, and ``_opening_costs`` gives them the bits of a full pass.
+        window, and ``_opening_costs`` sums each row by row (a lone column
+        padded), as the pass over all n columns does.
 
         One nearest-two pass over the p medoids gives the assignment and
         d_{p-1}, the distance to the nearest of the first p - 1: d2 where
@@ -272,15 +262,15 @@ class _GreedyOpening:
         is exact and a pair's distance has the same bits in any block, so
         this is the ``d`` the p-th opening was chosen against, bit for bit.
         """
-        X, n = self.X, len(self.X)
+        XT, n = self.XT, self.XT.shape[1]
         if not 1 <= p <= n:
             raise ValueError(f"medoid count must be in 1..{n}, got {p}")
         self.extend(p)
         medoids = self.medoids[:p]
-        nearest, d1, d2 = _nearest_two(X, X[medoids])
+        nearest, d1, d2 = _nearest_two(XT, XT.take(medoids, 1))
         d = np.where(nearest == p - 1, d2, d1)  # the fold extend() made
         window = self.windows[p - 1]
-        order = window[np.argsort(_opening_costs(X, d, window), kind="stable")]
+        order = window[np.argsort(_opening_costs(XT, d, window), kind="stable")]
         taken = set(medoids)
         candidates = [int(i) for i in order if int(i) not in taken][: 2 * p]
         assignment, total = _assign_to_medoids(medoids, nearest, d1)
@@ -296,12 +286,13 @@ def pmedian_greedy(ds: Dataset, p: int) -> MedoidSolution:
     does not call this function: it builds the sequence once and takes every
     probe's prefix from it with :meth:`_GreedyOpening.solve`. A prefix is exact
     because every opening, the first included, is confirmed with exact costs
-    whose bits match a full pass, and the lowest index among the exact minima
-    opens whatever p is, so the p-th medoid is the one a loop stopping at p
-    would open. The runners-up are ranked by the same exact costs over the
-    window the p-th opening kept (see :meth:`_GreedyOpening.solve`). Both rest
-    on the screens holding the exact minima, which the class docstring's
-    rounding bound guarantees for n up to about 10^6.
+    summed row by row (a lone column padded), as a full pass sums them, and
+    the lowest index among the exact minima opens whatever p is, so the p-th
+    medoid is the one a loop stopping at p would open. The runners-up are
+    ranked by the same exact costs over the window the p-th opening kept (see
+    :meth:`_GreedyOpening.solve`). Both rest on the screens holding the exact
+    minima, which the class docstring's rounding bound guarantees for n up
+    to about 10^6.
     """
     return _GreedyOpening(ds).solve(p)[0]
 
@@ -327,10 +318,10 @@ def pmedian_local_search(
     is the :func:`_nearest_two` pass over ``sol``'s medoids that built it
     (not modified); without it the search makes that pass itself.
     """
-    X = ds.values
+    XT = np.ascontiguousarray(ds.values.T)
     medoids = list(sol.medoids)
     p = len(medoids)
-    nearest, d1, d2 = _nearest_two(X, X[medoids]) if _pass is None else _pass
+    nearest, d1, d2 = _nearest_two(XT, XT.take(medoids, 1)) if _pass is None else _pass
     cost = float(d1.sum())
     columns: dict[int, np.ndarray] = {}
     improved = True
@@ -341,18 +332,18 @@ def pmedian_local_search(
                 continue
             dc = columns.get(cand)
             if dc is None:
-                dc = _column(X, cand)
-                if (len(columns) + 1) * len(X) <= _BLOCK_BUDGET:
+                dc = _column(XT, cand)
+                if (len(columns) + 1) * len(dc) <= _BLOCK_BUDGET:
                     columns[cand] = dc
             m1 = np.minimum(d1, dc)
             trial = m1.sum() + np.bincount(nearest, np.minimum(d2, dc) - m1, minlength=p)
             for pos in np.flatnonzero(trial < cost + 1e-9 * max(cost, 1.0)):
                 fallback = np.where(nearest == pos, d2, d1)
                 if float(np.minimum(fallback, dc).sum()) < cost:
-                    d_out = _column(X, medoids[pos])
+                    d_out = _column(XT, medoids[pos])
                     medoids[pos] = cand
                     nearest, d1, d2 = _swap_nearest_two(
-                        X, medoids, pos, d_out, dc, nearest, d1, d2
+                        XT, medoids, pos, d_out, dc, nearest, d1, d2
                     )
                     cost = float(d1.sum())
                     improved = True
@@ -379,6 +370,7 @@ def kmeans(ds: Dataset, k: int, init: Partition) -> KmeansResult:
     if init.k != k:
         raise ValueError(f"init partition has {init.k} groups, expected {k}")
     X = ds.values
+    XT = np.ascontiguousarray(X.T)
     labels = init.assignment.copy()
     converged = False
     iterations = 0
@@ -386,7 +378,7 @@ def kmeans(ds: Dataset, k: int, init: Partition) -> KmeansResult:
         iterations += 1
         centroids = stats.group_sums(X, labels, k) / np.bincount(labels, minlength=k)[:, None]
 
-        new_labels, own_sq, _ = _nearest_two(X, centroids, squared=True)
+        new_labels, own_sq, _ = _nearest_two(XT, np.ascontiguousarray(centroids.T), squared=True)
         new_sizes = np.bincount(new_labels, minlength=k)
         for q in np.flatnonzero(new_sizes == 0):
             movable = own_sq.copy()

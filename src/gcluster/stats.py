@@ -151,9 +151,11 @@ class Partition:
         raw = np.asarray(labels)
         if raw.shape != (ds.n,):
             raise ValueError(f"labels must have shape ({ds.n},), got {raw.shape}")
-        # checked before the cast, which warns on NaN, inf and out-of-range values
+        # checked before the cast, which warns on NaN, inf and out-of-range
+        # values; the bound is float64, as 2**63 overflows a float16
+        bound = np.float64(2.0**63)
         if raw.dtype.kind not in "iu" and not (
-            raw.dtype.kind in "bf" and ((np.abs(raw) < 2.0**63) & (np.trunc(raw) == raw)).all()
+            raw.dtype.kind in "bf" and ((np.abs(raw) < bound) & (np.trunc(raw) == raw)).all()
         ):
             raise ValueError("labels must be integers")
         labels = raw.astype(np.int64, copy=False)

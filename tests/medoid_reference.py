@@ -12,13 +12,6 @@ import numpy as np
 from gcluster import kmeans as kmeans_module
 
 
-def _chunks(count, per_item):
-    # read at call time, so a test that shrinks the budget shrinks both sides
-    step = max(1, kmeans_module._BLOCK_BUDGET // max(1, per_item))
-    for lo in range(0, count, step):
-        yield lo, min(count, lo + step)
-
-
 def _distances(X, targets):
     """Euclidean distances, shape (len(X), len(targets)), with the squares
     summed in the library's order: halve the attributes until one is left,
@@ -36,25 +29,13 @@ def _distances(X, targets):
 
 
 def _nearest_two(X, points):
-    n, m = X.shape
-    nearest = np.zeros(n, dtype=np.int64)
-    d1 = np.full(n, np.inf)
-    d2 = np.full(n, np.inf)
-    rows = np.arange(n)
-    for lo, hi in _chunks(len(points), n * m):
-        block = _distances(X, points[lo:hi])
-        bm = np.argmin(block, axis=1)
-        bd1 = block[rows, bm]
-        if hi - lo > 1:
-            block[rows, bm] = np.inf
-            bd2 = block.min(axis=1)
-        else:
-            bd2 = np.full(n, np.inf)
-        better = bd1 < d1
-        d2 = np.where(better, np.minimum(d1, bd2), np.minimum(d2, bd1))
-        d1 = np.where(better, bd1, d1)
-        nearest = np.where(better, bm + lo, nearest)
-    return nearest, d1, d2
+    # one block of all points: min and argmin are exact in any blocking
+    block = _distances(X, points)
+    rows = np.arange(len(X))
+    nearest = np.argmin(block, axis=1)
+    d1 = block[rows, nearest]
+    block[rows, nearest] = np.inf  # a single point's d2 is then inf
+    return nearest, d1, block.min(axis=1)
 
 
 def _assign_to_medoids(X, medoids):
@@ -76,10 +57,8 @@ def pmedian_greedy_scan(ds, p):
     d = np.full(n, np.inf)
     last_scores = np.full(n, np.inf)
     for _ in range(p):
-        scores = np.empty(n)
-        for lo, hi in _chunks(n, n * ds.m):
-            block = _distances(X, X[lo:hi])
-            scores[lo:hi] = np.minimum(d[:, None], block).sum(axis=0)
+        # each column's cost is its running sum, taken one row at a time
+        scores = np.cumsum(np.minimum(d[:, None], _distances(X, X)), axis=0)[-1]
         scores[medoids] = np.inf
         chosen = int(np.argmin(scores))
         last_scores = scores

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -23,8 +24,10 @@ from gcluster import (
     standardize,
 )
 from gcluster import kmeans as kmeans_module
+from gcluster import stats as stats_module
 from gcluster.dataset import Distribution, InstanceSpec
 from gcluster.kmeans import kmeans
+from gcluster.stats import sq_distances
 
 from conftest import small_dataset, tie_heavy_dataset
 from medoid_reference import pmedian_greedy_scan, pmedian_local_search_scan
@@ -99,10 +102,10 @@ def test_probe_without_a_swap_makes_one_nearest_medoid_pass(monkeypatch):
     calls = []
     nearest_two = kmeans_module._nearest_two
 
-    def counting(X, points, squared=False):
-        if len(X) == ds.n and not squared:
-            calls.append(len(points))
-        return nearest_two(X, points, squared)
+    def counting(XT, PT, squared=False):
+        if XT.shape[1] == ds.n and not squared:
+            calls.append(PT.shape[1])
+        return nearest_two(XT, PT, squared)
 
     monkeypatch.setattr(kmeans_module, "_nearest_two", counting)
     opening = kmeans_module._GreedyOpening(ds)
@@ -193,7 +196,7 @@ def test_kmeans_gc_rejects_overflowing_data_before_any_distance(monkeypatch):
     # inf and its scores NaN, so the DataError must come before them
     ds = Dataset(np.array([[-1e308, 0.5], [0.1, 0.2], [0.3, 0.4]]))
     calls = []
-    monkeypatch.setattr(kmeans_module, "_sq_distances", lambda *a: calls.append(a))
+    monkeypatch.setattr(stats_module, "sq_distances", lambda *a: calls.append(a))
     with pytest.raises(DataError, match="column 0 is too large"):
         kmeans_gc(ds, 0.5)
     assert calls == []
@@ -283,15 +286,59 @@ def test_lone_confirm_column_is_summed_like_the_full_pass(monkeypatch):
     confirm_sizes = []
     opening_costs = kmeans_module._opening_costs
 
-    def recording(X, d, cols):
-        if len(cols) < len(X):
+    def recording(XT, d, cols):
+        if len(cols) < XT.shape[1]:
             confirm_sizes.append(len(cols))
-        return opening_costs(X, d, cols)
+        return opening_costs(XT, d, cols)
 
     monkeypatch.setattr(kmeans_module, "_opening_costs", recording)
     for p in (15, 30, 59):
         assert_medoid_stages_match_scan(ds, p)
     assert 1 in confirm_sizes
+
+
+@st.composite
+def opening_cost_case(draw):
+    """Rows with m = 1..10, duplicated, on a small grid or continuous; a
+    ``d`` with inf entries; any subset of the columns in any order; and a
+    budget that makes blocks one, two or three columns wide, or the default."""
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["duplicates", "grid", "normal"]))
+    if kind == "duplicates":
+        distinct = rng.normal(size=(max(1, n // 3), m))
+        values = distinct[rng.integers(0, len(distinct), size=n)]
+    elif kind == "grid":
+        values = rng.integers(0, 4, size=(n, m)).astype(np.float64)
+    else:
+        values = rng.normal(size=(n, m))
+    inf_share = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    d = np.where(rng.random(n) < inf_share, np.inf, rng.exponential(size=n))
+    cols = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    width = draw(st.sampled_from([1, 2, 3, None]))
+    budget = None if width is None else width * n * m
+    return values, d, np.array(cols, dtype=np.int64), budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(opening_cost_case())
+def test_opening_costs_are_running_sums(case):
+    # each cost is its column's sum taken one row at a time, whichever
+    # columns share its block; a one-column block must not sum pairwise
+    values, d, cols, budget = case
+    XT = np.ascontiguousarray(values.T)
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(kmeans_module, "_BLOCK_BUDGET", budget)
+        got = kmeans_module._opening_costs(XT, d, cols)
+    expect = []
+    for j in cols.tolist():
+        total = 0.0
+        for term in np.minimum(d, np.sqrt(sq_distances(XT, XT[:, j : j + 1]))).tolist():
+            total += term
+        expect.append(total)
+    assert got.tobytes() == np.array(expect).tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -300,18 +347,18 @@ def test_swap_update_equals_full_recompute(ds, seed):
     # the swap search keeps nearest / second-nearest current by updating
     # only the rows a swap can touch; ties must resolve as a recompute would
     rng = np.random.default_rng(seed)
-    X = ds.values
+    XT = np.ascontiguousarray(ds.values.T)
     p = int(rng.integers(1, ds.n))
     picked = [int(i) for i in rng.permutation(ds.n)[: p + 1]]
     medoids, newcomer = picked[:p], picked[p]
     pos = int(rng.integers(p))
-    nearest, d1, d2 = kmeans_module._nearest_two(X, X[medoids])
-    d_out = kmeans_module._column(X, medoids[pos])
+    nearest, d1, d2 = kmeans_module._nearest_two(XT, XT.take(medoids, 1))
+    d_out = kmeans_module._column(XT, medoids[pos])
     medoids[pos] = newcomer
     got = kmeans_module._swap_nearest_two(
-        X, medoids, pos, d_out, kmeans_module._column(X, newcomer), nearest, d1, d2
+        XT, medoids, pos, d_out, kmeans_module._column(XT, newcomer), nearest, d1, d2
     )
-    for a, b in zip(got, kmeans_module._nearest_two(X, X[medoids])):
+    for a, b in zip(got, kmeans_module._nearest_two(XT, XT.take(medoids, 1))):
         assert np.array_equal(a, b)
 
 
@@ -426,9 +473,9 @@ def test_kmeans_gc_probe_order_is_pinned(budget):
     probes, widths = [], []
     opening_costs = kmeans_module._opening_costs
 
-    def recording(X, d, cols):
+    def recording(XT, d, cols):
         widths.append(len(cols))
-        return opening_costs(X, d, cols)
+        return opening_costs(XT, d, cols)
 
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:  # small budgets chunk every pass finely
@@ -438,6 +485,9 @@ def test_kmeans_gc_probe_order_is_pinned(budget):
     assert [probe.k for probe in probes] == [2, 4, 8, 6, 5]
     assert [probe.feasible for probe in probes] == [False, False, True, True, False]
     assert p.k == 6
+    digest = hashlib.sha256(p.assignment.tobytes()).hexdigest()
+    assert digest == "5a745148a67cdb701be5bbc1cf5b0ca6d205a55d45d28b736ffbd7513ef64c5c"
+    assert float(p.ssb).hex() == "0x1.6986fe9bdbde5p+9"
     # only the opening sequence's first pass costs every column; each
     # opening is confirmed, and each probe ranks its swap candidates, from a
     # screened window, whatever the budget

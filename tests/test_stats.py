@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,12 +97,32 @@ def test_evaluate_extremes():
         ([0, math.inf, 1], "integers"),
         ([0, 1e300, 1], "integers"),
         (np.array(["0", "1", "0"]), "integers"),  # once numpy's UFuncTypeError
+        (np.array([0, 0.5, 1], dtype=np.float16), "integers"),
     ],
-    ids=["wrong-shape", "negative", "gap", "fractional", "nan", "inf", "huge", "strings"],
+    ids=[
+        "wrong-shape",
+        "negative",
+        "gap",
+        "fractional",
+        "nan",
+        "inf",
+        "huge",
+        "strings",
+        "float16-fraction",
+    ],
 )
 def test_from_labels_rejects_bad_labels(labels, match):
     with pytest.raises(ValueError, match=match):
         Partition.from_labels(three_point_line(), labels)
+
+
+def test_from_labels_takes_float16_whole_labels_without_a_warning():
+    # the 2**63 bound once overflowed in float16 and warned in the cast
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = Partition.from_labels(three_point_line(), np.array([0, 1, 0], dtype=np.float16))
+    assert p.assignment.dtype == np.int64
+    assert p.assignment.tolist() == [0, 1, 0]
 
 
 def test_evaluate_hand_example():
