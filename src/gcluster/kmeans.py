@@ -31,9 +31,9 @@ they place within 1e-9 (relative) of the best is re-costed with the plain
 sum, and the plain rule picks among those.
 
 Everything here is deterministic: no randomness, ties broken by lowest index.
-Distances are evaluated in chunks so no n x n matrix is ever materialized;
-one helper, :func:`stats.sq_distances`, computes them all, squared, on the
-attribute-major (m, n) copy of the data that each stage makes once.
+Each block of distances holds at most ``_BLOCK_BUDGET`` floats, or one point's
+(two, if padded) where that alone is more; :func:`stats.sq_distances` takes
+them all, squared, on the attribute-major (m, n) copy each stage makes once.
 """
 
 from __future__ import annotations
@@ -100,23 +100,22 @@ def _nearest_two(XT: np.ndarray, PT: np.ndarray, squared: bool = False):
     Returns (nearest_index, nearest_dist, second_dist); second_dist is +inf
     when there is a single point. Ties resolve to the lowest index. Distances
     are Euclidean, or squared when ``squared`` is set: the square root can
-    round two different squares to one value and so create ties. Points of
-    XT are taken a block at a time, each against every point of PT, so a
-    block writes its slice of the result directly.
+    round two different squares to one value and so create ties. XT is taken
+    w points at a time, as a (p, w) block against PT with argmin down axis 0.
     """
     n = XT.shape[1]
     nearest = np.empty(n, dtype=np.int64)
     d1 = np.empty(n)
     d2 = np.empty(n)
     for lo, hi in _chunks(n, PT.size):
-        block = stats.sq_distances(XT[:, lo:hi, None], PT[:, None, :])
+        block = stats.sq_distances(PT[:, :, None], XT[:, None, lo:hi])
         if not squared:
             np.sqrt(block, out=block)
-        rows = np.arange(hi - lo)
-        bm = nearest[lo:hi] = np.argmin(block, axis=1)
-        d1[lo:hi] = block[rows, bm]
-        block[rows, bm] = np.inf  # a single point's d2 is then inf
-        d2[lo:hi] = block.min(axis=1)
+        cols = np.arange(hi - lo)
+        bm = nearest[lo:hi] = np.argmin(block, axis=0)
+        d1[lo:hi] = block[bm, cols]
+        block[bm, cols] = np.inf  # a single point's d2 is then inf
+        d2[lo:hi] = block.min(axis=0)
     return nearest, d1, d2
 
 

@@ -236,15 +236,15 @@ def r2(ds: Dataset, p: Partition) -> float:
 def evaluate(ds: Dataset, p: Partition) -> VarianceSummary:
     """From-scratch SSB/SSW/R^2 plus the per-attribute R^2_j vector.
 
-    SSB and SSW are computed independently (not via SST - SSB), so the
-    identity SSB + SSW = SST is a meaningful cross-check on any result.
-    Degenerate attributes report R^2_j = 0.
+    SSB and SSW are computed independently, so SSB + SSW = SST cross-checks
+    any result. Degenerate attributes report R^2_j = 0. SSW_j is summed
+    pairwise along row j of an attribute-major residual.
     """
     s = sst(ds)
     cent = p.sums / p.sizes[:, None]
     ssb_j = _ssb_per_attribute(ds, p.sizes, cent)
-    resid = cent[p.assignment]  # the one n x m temporary, squared in place
-    ssw_j = np.square(np.subtract(ds.values, resid, out=resid), out=resid).sum(axis=0)
+    resid = np.ascontiguousarray(cent.T).take(p.assignment, axis=1)  # the one n x m temporary
+    ssw_j = np.square(np.subtract(resid, ds.values.T, out=resid), out=resid).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         r2_j = np.where(s.degenerate_attributes, 0.0, ssb_j / s.per_attribute)
     return VarianceSummary(

@@ -191,10 +191,16 @@ class _Stored(_Nearest):
 def drop_matrix(ds: Dataset, p: Partition) -> np.ndarray:
     """The (k, k) drop matrix of ``p``: ``D[i, j]`` for i < j is the R^2 drop
     of merging groups i and j, with the bits the merge loop gives it, and
-    every cell on or below the diagonal is inf."""
+    every cell on or below the diagonal is inf. A block of rows lo..hi-1 is
+    costed against slots lo..k-1 only, so each pair is costed once."""
     near = _Nearest(p.sizes, p.sums, stats.sst(ds).total)
-    d = np.empty((near.k, near.k))
-    near.cost_rows(d, near.slots)
+    k, slots = near.k, near.slots
+    d = np.full((k, k), np.inf)
+    step = max(1, _BLOCK_CELLS // (k * len(near.centroids)))
+    for lo in range(0, k, step):
+        hi = min(k, lo + step)
+        upper = slots[lo:] > slots[lo:hi, None]
+        d[lo:hi, lo:] = np.where(upper, near.drops(slice(lo, hi), lo), np.inf)
     return d
 
 

@@ -12,11 +12,11 @@ import numpy as np
 from gcluster import kmeans as kmeans_module
 
 
-def _distances(X, targets):
-    """Euclidean distances, shape (len(X), len(targets)), with the squares
-    summed in the library's order: halve the attributes until one is left,
-    adding attribute h + j onto attribute j and then an odd last attribute
-    onto attribute 0."""
+def _sq_distances(X, targets):
+    """Squared Euclidean distances, shape (len(X), len(targets)), summed in
+    the library's order: halve the attributes until one is left, adding
+    attribute h + j onto attribute j and then an odd last attribute onto
+    attribute 0."""
     diff = X.T[:, :, None] - targets.T[:, None, :]
     terms = list(diff * diff)
     while len(terms) > 1:
@@ -25,12 +25,17 @@ def _distances(X, targets):
         terms = [terms[j] + terms[h + j] for j in range(h)]
         if odd:
             terms[0] = terms[0] + odd[0]
-    return np.sqrt(terms[0])
+    return terms[0]
 
 
-def _nearest_two(X, points):
+def _distances(X, targets):
+    """Euclidean distances: the square roots of :func:`_sq_distances`."""
+    return np.sqrt(_sq_distances(X, targets))
+
+
+def _nearest_two(X, points, squared=False):
     # one block of all points: min and argmin are exact in any blocking
-    block = _distances(X, points)
+    block = (_sq_distances if squared else _distances)(X, points)
     rows = np.arange(len(X))
     nearest = np.argmin(block, axis=1)
     d1 = block[rows, nearest]

@@ -30,6 +30,7 @@ from gcluster.kmeans import kmeans
 from gcluster.stats import sq_distances
 
 from conftest import small_dataset, tie_heavy_dataset
+import medoid_reference
 from medoid_reference import pmedian_greedy_scan, pmedian_local_search_scan
 
 
@@ -360,6 +361,33 @@ def test_swap_update_equals_full_recompute(ds, seed):
     )
     for a, b in zip(got, kmeans_module._nearest_two(XT, XT.take(medoids, 1))):
         assert np.array_equal(a, b)
+
+
+@st.composite
+def nearest_two_case(draw):
+    """Tie-heavy data and p = 1..6 of its points, drawn with repeats, so
+    that the nearest point often ties between positions."""
+    X = draw(tie_heavy_dataset(min_n=2, max_n=30, m_range=(1, 5))).values
+    picks = draw(st.lists(st.integers(0, len(X) - 1), min_size=1, max_size=6))
+    return X, X[picks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(nearest_two_case(), st.booleans(), st.booleans())
+def test_nearest_two_matches_reference_along_the_point_axis(case, squared, one_point_blocks):
+    # each (p, w) block takes its argmin and minima down axis 0; ties go to
+    # the lowest position, and a single point's d2 is inf
+    X, points = case
+    XT, PT = np.ascontiguousarray(X.T), np.ascontiguousarray(points.T)
+    with pytest.MonkeyPatch.context() as mp:
+        if one_point_blocks:  # every block holds one point of X
+            mp.setattr(kmeans_module, "_BLOCK_BUDGET", PT.size)
+        got = kmeans_module._nearest_two(XT, PT, squared=squared)
+    want = medoid_reference._nearest_two(X, points, squared=squared)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if len(points) == 1:
+        assert np.isinf(got[2]).all()
 
 
 # One greedy opening sequence serves every probe of the search over k.

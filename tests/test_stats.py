@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gcluster import (
@@ -13,12 +14,14 @@ from gcluster import (
     apply_merge,
     apply_removal,
     evaluate,
+    generate,
     r2,
     SolverError,
     sst,
     standardize,
     wards_gc,
 )
+from gcluster.dataset import Distribution, InstanceSpec
 from gcluster.errors import DataError
 from gcluster.stats import group_sums, merge_drop, sq_distances
 
@@ -420,3 +423,86 @@ def test_sq_distances_is_one_fixed_summation_order(sets, data):
     assert (d >= 0).all()
     same = (a[:, :, None] == b[:, None, :]).all(axis=0)
     assert (d[same] == 0).all()
+
+
+# The certificate: evaluate's SSW sums an attribute-major residual pairwise
+# along each attribute; SSB, R^2 and R^2_j keep the row-major formula's bits.
+
+
+def _row_major_certificate(ds, p):
+    """SSB, R^2 and R^2_j by the row-major formula evaluate keeps."""
+    s = sst(ds)
+    cent = p.sums / p.sizes[:, None]
+    ssb_j = ((cent - s.column_means) ** 2 * p.sizes[:, None]).sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2_j = np.where(s.degenerate_attributes, 0.0, ssb_j / s.per_attribute)
+    return float(ssb_j.sum()), float(ssb_j.sum()) / s.total, r2_j
+
+
+def _exact_ssw(ds, p):
+    """SSW as the correctly rounded sum of the squared residuals."""
+    resid = (p.sums / p.sizes[:, None])[p.assignment] - ds.values
+    return math.fsum((resid * resid).ravel().tolist())
+
+
+def assert_certificate(ds, p):
+    got = evaluate(ds, p)
+    ssb, r2_value, r2_j = _row_major_certificate(ds, p)
+    assert float(got.ssb).hex() == ssb.hex()
+    assert float(got.r2).hex() == r2_value.hex()
+    assert got.r2_per_attribute.tobytes() == r2_j.tobytes()
+    assert math.isclose(got.ssw, _exact_ssw(ds, p), rel_tol=1e-12, abs_tol=0.0)
+
+
+@st.composite
+def certificate_case(draw):
+    """Random or tie-heavy data with m = 1..10, some columns made constant
+    (degenerate), and a random partition or one with any k in 1..n."""
+    if draw(st.booleans()):
+        ds, p = draw(dataset_with_partition(max_n=40, max_m=10))
+        values, labels = ds.values.copy(), p.assignment
+    else:
+        values = draw(tie_heavy_dataset(min_n=2, max_n=40, m_range=(1, 10))).values.copy()
+        k = draw(st.integers(1, len(values)))
+        labels = np.array(draw(st.permutations(range(len(values))))) % k
+    m = values.shape[1]
+    constant = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    assume(not constant.all())
+    values[:, constant] = draw(st.sampled_from([0.0, -2.5, 1e6]))
+    ds = Dataset(values)
+    try:
+        sst(ds)
+    except DegenerateDataError:
+        assume(False)
+    return ds, Partition.from_labels(ds, labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificate_case())
+def test_certificate_keeps_row_major_bits_and_sums_ssw_closely(case):
+    assert_certificate(*case)
+
+
+def _pinned_certificate_case():
+    ds = generate(InstanceSpec(Distribution.NORMAL01, 20_000, 5, 11))
+    return ds, Partition.from_labels(ds, np.arange(ds.n) % 37)
+
+
+def test_certificate_is_pinned():
+    ds, p = _pinned_certificate_case()
+    got = evaluate(ds, p)
+    assert float(got.r2).hex() == "0x1.b6d0962dbe292p-10"
+    assert float(got.ssb).hex() == "0x1.4f36b292f7225p+7"
+    assert_certificate(ds, p)
+
+
+def test_evaluate_keeps_one_matrix_sized_temporary():
+    ds, p = _pinned_certificate_case()
+    sst(ds)  # cached first: its temporaries are not evaluate's
+    tracemalloc.start()
+    try:
+        evaluate(ds, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * ds.values.nbytes

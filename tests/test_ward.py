@@ -310,6 +310,43 @@ def test_drop_matrix_holds_each_pairs_drop_above_the_diagonal():
         assert math.isclose(d[i, j], drop, rel_tol=1e-12)
 
 
+@st.composite
+def any_partition(draw):
+    """A random partition of random data, or one with any k of tie-heavy data."""
+    if draw(st.booleans()):
+        return draw(dataset_with_partition(max_n=40, max_m=5))
+    ds = draw(tie_heavy_dataset(min_n=2, max_n=40, m_range=(1, 5)))
+    k = draw(st.integers(1, ds.n))
+    return ds, Partition.from_labels(ds, np.array(draw(st.permutations(range(ds.n)))) % k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_partition(), st.sampled_from([None, 1, 20]))
+def test_drop_matrix_costs_each_pair_once(ds_p, cells):
+    # the matrix full-row costing gives, byte for byte, from about half the
+    # pair cells: a block of rows lo..hi-1 against slots lo..k-1 only
+    ds, p = ds_p
+    full = ward._Nearest(p.sizes, p.sums, stats.sst(ds).total)
+    expect = np.empty((p.k, p.k))
+    full.cost_rows(expect, full.slots)
+    costed = []
+    sq_distances = stats.sq_distances
+
+    def spy(a, b):
+        out = sq_distances(a, b)
+        costed.append(out.size)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        if cells is not None:
+            mp.setattr(ward, "_BLOCK_CELLS", cells)
+        step = max(1, ward._BLOCK_CELLS // (p.k * ds.m))
+        mp.setattr(stats, "sq_distances", spy)
+        got = ward.drop_matrix(ds, p)
+    assert got.tobytes() == expect.tobytes()
+    assert 2 * sum(costed) <= p.k * (p.k + step)
+
+
 def test_warm_start_from_the_unshaken_incumbent_matches_cold_start():
     # no slot changed, so the stored matrix is used as it is
     ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 40, 3, 1)))
