@@ -5,7 +5,8 @@ algorithm and optionally emit a JSON report), ``oracle`` (exact enumeration
 for tiny inputs), and ``bench`` (suite runner producing CSV plus an aligned
 comparison grid).
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 solver error.
+Exit codes: 0 success, 2 usage error, 3 data error, 4 solver error or
+out of memory.
 """
 
 from __future__ import annotations
@@ -90,8 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.set_defaults(func=cmd_oracle)
 
     bench_p = sub.add_parser("bench", help="run a benchmark suite")
-    bench_p.add_argument("--preset", choices=bench.PRESETS, default=None)
-    bench_p.add_argument("--config", default=None)
+    suite = bench_p.add_mutually_exclusive_group(required=True)
+    suite.add_argument("--preset", choices=bench.PRESETS)
+    suite.add_argument("--config")
     bench_p.add_argument("--seeds", type=int, default=1)
     bench_p.add_argument("--out", default="bench_rows.csv")
     bench_p.add_argument("--rmax", type=int, default=VnsConfig.r_max)
@@ -173,8 +175,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if (args.preset is None) == (args.config is None):
-        raise ValueError("provide exactly one of --preset or --config")
     cfg = VnsConfig(r_max=args.rmax, time_limit_seconds=args.time_limit)
     if args.preset is not None:
         if args.seeds < 1:
@@ -206,8 +206,8 @@ def cmd_bench(args) -> int:
 
 
 def _load_bench_config(path, cfg: VnsConfig):
-    """Parse and check a whole suite file before anything is solved; any
-    defect in it is a :class:`DataError`."""
+    """Check a whole suite file before anything is solved: its shape here, its
+    values in the types they build. Any defect is a :class:`DataError`."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -223,16 +223,15 @@ def _load_bench_config(path, cfg: VnsConfig):
         if not isinstance(entry, dict):
             raise DataError(f"instance entry {entry!r} is not an object")
         try:
-            dist = Distribution(entry["dist"])
-            spec = InstanceSpec(dist, *(_json_int(entry[key], key) for key in ("n", "m", "seed")))
+            spec = InstanceSpec(Distribution(entry["dist"]), entry["n"], entry["m"], entry["seed"])
         except KeyError as exc:
             raise DataError(f"instance entry {entry!r} lacks the key {exc}") from None
         except ValueError as exc:
             raise DataError(f"bad instance entry {entry!r}: {exc}") from None
         raw = entry.get("r2t", doc.get("r2t", []))
         try:
-            r2ts = tuple(stats.check_threshold(_json_number(v, "r2t")) for v in raw)
-        except (TypeError, DataError, SolverError) as exc:
+            r2ts = tuple(stats.check_threshold(v) for v in raw)
+        except (TypeError, SolverError) as exc:  # TypeError: r2t is not a list
             raise DataError(f"bad r2t {raw!r} for instance {entry!r}: {exc}") from None
         if not r2ts:
             raise DataError(f"instance entry {entry!r} has no r2t thresholds")
@@ -243,31 +242,12 @@ def _load_bench_config(path, cfg: VnsConfig):
     try:
         cfg = dataclasses.replace(
             cfg,
-            r_max=_json_int(doc.get("rmax", cfg.r_max), "rmax"),
-            time_limit_seconds=_json_number(
-                doc.get("time_limit", cfg.time_limit_seconds), "time_limit"
-            ),
+            r_max=doc.get("rmax", cfg.r_max),
+            time_limit_seconds=doc.get("time_limit", cfg.time_limit_seconds),
         )
     except ValueError as exc:
         raise DataError(f"bad rmax or time_limit in {path}: {exc}") from None
     return specs, algos, cfg
-
-
-def _json_int(value, key: str) -> int:
-    """``value`` if it is a JSON integer (``true`` and ``20.7`` are not)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DataError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _json_number(value, key: str) -> float:
-    """``value`` as a float if it is a JSON number (``true`` and ``"5"`` are not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DataError(f"{key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise DataError(f"{key} is out of range, got {value!r}") from None
 
 
 def main(argv=None) -> int:
@@ -283,6 +263,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ import array
 import codecs
 import csv
 import enum
+import numbers
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -33,7 +34,9 @@ class Distribution(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class InstanceSpec:
-    """Recipe for one synthetic instance; fully determines the matrix."""
+    """Recipe for one synthetic instance; fully determines the matrix. ``n``,
+    ``m`` and ``seed`` are integers (not ``bool``) with n >= 2, m >= 1 and
+    0 <= seed < 2^64; anything else raises :class:`DataError`."""
 
     distribution: Distribution
     n: int
@@ -41,6 +44,10 @@ class InstanceSpec:
     seed: int
 
     def __post_init__(self):
+        for name in ("n", "m", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DataError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise DataError(f"instance needs n >= 2 elements, got n={self.n}")
         if self.m < 1:

@@ -56,12 +56,11 @@ _BLOCK_BUDGET = 1 << 22
 
 @dataclass
 class MedoidSolution:
-    """p medoids (data elements), nearest-medoid assignment, total Euclidean
-    cost, and the runner-up elements worth trying in the swap search."""
+    """p medoids (data elements), nearest-medoid assignment, and the
+    runner-up elements worth trying in the swap search."""
 
     medoids: list[int]
     assignment: np.ndarray
-    total_cost: float
     candidates: list[int]
 
 
@@ -147,15 +146,12 @@ def _swap_nearest_two(
     return nearest, d1, d2
 
 
-def _assign_to_medoids(medoids: list[int], nearest: np.ndarray, d1: np.ndarray):
-    """Assignment and total cost from :func:`_nearest_two`'s ``nearest`` and
-    ``d1`` for the medoids (not modified); each medoid is pinned to its own
-    slot so every slot stays non-empty even with duplicate points."""
+def _assign_to_medoids(medoids: list[int], nearest: np.ndarray) -> np.ndarray:
+    """The assignment from :func:`_nearest_two`'s ``nearest`` (not modified), each
+    medoid pinned to its own slot so no slot empties even on duplicate points."""
     assignment = nearest.copy()
     assignment[medoids] = np.arange(len(medoids))
-    d1 = d1.copy()
-    d1[medoids] = 0.0
-    return assignment, float(d1.sum())
+    return assignment
 
 
 def _opening_costs(XT: np.ndarray, d: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -272,8 +268,8 @@ class _GreedyOpening:
         order = window[np.argsort(_opening_costs(XT, d, window), kind="stable")]
         taken = set(medoids)
         candidates = [int(i) for i in order if int(i) not in taken][: 2 * p]
-        assignment, total = _assign_to_medoids(medoids, nearest, d1)
-        return MedoidSolution(medoids, assignment, total, candidates), (nearest, d1, d2)
+        sol = MedoidSolution(medoids, _assign_to_medoids(medoids, nearest), candidates)
+        return sol, (nearest, d1, d2)
 
 
 def pmedian_greedy(ds: Dataset, p: int) -> MedoidSolution:
@@ -351,12 +347,11 @@ def pmedian_local_search(
                 break
     if medoids == sol.medoids:
         return sol  # no swap: sol already holds this assignment
-    assignment, total = _assign_to_medoids(medoids, nearest, d1)
-    return MedoidSolution(medoids, assignment, total, list(sol.candidates))
+    return MedoidSolution(medoids, _assign_to_medoids(medoids, nearest), list(sol.candidates))
 
 
-def kmeans(ds: Dataset, k: int, init: Partition) -> KmeansResult:
-    """Lloyd iterations from an initial partition with exactly k groups.
+def kmeans(ds: Dataset, init: Partition) -> KmeansResult:
+    """Lloyd iterations from an initial partition; k is its group count.
 
     Points are reassigned to the nearest centroid (Euclidean; implemented
     with squared distances, which give the same argmin) until a pass makes
@@ -366,8 +361,7 @@ def kmeans(ds: Dataset, k: int, init: Partition) -> KmeansResult:
     groups. No pass raises the SSE: a repair moves an element onto a group
     of its own.
     """
-    if init.k != k:
-        raise ValueError(f"init partition has {init.k} groups, expected {k}")
+    k = init.k
     X = ds.values
     XT = np.ascontiguousarray(X.T)
     labels = init.assignment.copy()
@@ -398,8 +392,7 @@ def kmeans(ds: Dataset, k: int, init: Partition) -> KmeansResult:
 def _probe(ds: Dataset, k: int, opening: _GreedyOpening) -> KmeansResult:
     sol, nearest_pass = opening.solve(k)
     sol = pmedian_local_search(ds, sol, _pass=nearest_pass)
-    init = Partition.from_labels(ds, sol.assignment)
-    return kmeans(ds, k, init)
+    return kmeans(ds, Partition.from_labels(ds, sol.assignment))
 
 
 def kmeans_gc(

@@ -16,6 +16,7 @@ from-scratch recomputation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,10 +47,10 @@ class SstSummary:
 
 
 def check_threshold(r2t: float) -> float:
-    """Return ``r2t`` if it lies strictly inside (0, 1), else raise
-    :class:`SolverError`."""
-    if not 0.0 < r2t < 1.0:
-        raise SolverError(f"threshold must lie strictly inside (0, 1), got {r2t}")
+    """Return ``r2t`` if it is a real number (not ``bool``) strictly inside
+    (0, 1), else raise :class:`SolverError`."""
+    if isinstance(r2t, bool) or not isinstance(r2t, numbers.Real) or not 0.0 < r2t < 1.0:
+        raise SolverError(f"threshold must be a real number strictly inside (0, 1), got {r2t!r}")
     return r2t
 
 
@@ -162,8 +163,8 @@ class Partition:
         if labels.min() < 0:
             raise ValueError("labels must be non-negative")
         k = int(labels.max()) + 1
-        sizes = np.bincount(labels, minlength=k)
-        if (sizes == 0).any():
+        # k > n leaves a group empty: said before bincount allocates k slots
+        if k > ds.n or not (sizes := np.bincount(labels, minlength=k)).all():
             raise ValueError("group ids must be dense 0..k-1 with no empty group")
         sums = group_sums(ds.values, labels, k)
         ssb = _ssb_scratch(ds, sizes, sums)

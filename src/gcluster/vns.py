@@ -16,6 +16,7 @@ supplies diversification.
 from __future__ import annotations
 
 import enum
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -47,16 +48,30 @@ class Termination(enum.Enum):
 
 @dataclass(frozen=True)
 class VnsConfig:
+    """Search settings: r_max >= 1 and seed in 0..2^64 - 1 are integers and
+    ``time_limit_seconds`` > 0 is a real number that fits in a float, none a
+    ``bool``; anything else raises ``ValueError``."""
+
     r_max: int = 50
     time_limit_seconds: float = 21600.0
     seed: int = 0
     starter: Starter = Starter.WARDS
 
     def __post_init__(self):
+        for name in ("r_max", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        limit = self.time_limit_seconds
+        if isinstance(limit, bool) or not isinstance(limit, numbers.Real):
+            raise ValueError(f"time_limit_seconds must be a real number, got {limit!r}")
+        try:
+            if not float(limit) > 0:  # NaN too
+                raise ValueError(f"time_limit_seconds must be positive, got {limit}")
+        except OverflowError:
+            raise ValueError(f"time_limit_seconds is too large for a float: {limit!r}") from None
         if self.r_max < 1:
             raise ValueError(f"r_max must be >= 1, got {self.r_max}")
-        if not self.time_limit_seconds > 0:  # NaN too
-            raise ValueError(f"time_limit_seconds must be positive, got {self.time_limit_seconds}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.seed >= 2**64:  # InstanceSpec's bound

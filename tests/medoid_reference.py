@@ -3,8 +3,8 @@
 ``pmedian_greedy_scan`` recomputes every opening cost from scratch at every
 step, and ``pmedian_local_search_scan`` costs each (candidate, position)
 swap with its own sum. They are slow but obviously right, and the fast
-versions must reproduce their medoids, candidates, cost and assignment bit
-for bit. Kept self-contained so a change to the library cannot move them.
+versions must reproduce their medoids, candidates and assignment bit for
+bit. Kept self-contained so a change to the library cannot move them.
 """
 
 import numpy as np
@@ -44,12 +44,10 @@ def _nearest_two(X, points, squared=False):
 
 
 def _assign_to_medoids(X, medoids):
-    nearest, d1, _ = _nearest_two(X, X[medoids])
+    nearest, _, _ = _nearest_two(X, X[medoids])
     assignment = nearest.copy()
     assignment[medoids] = np.arange(len(medoids))
-    d1 = d1.copy()
-    d1[medoids] = 0.0
-    return assignment, float(d1.sum())
+    return assignment
 
 
 def pmedian_greedy_scan(ds, p):
@@ -73,8 +71,7 @@ def pmedian_greedy_scan(ds, p):
     taken = set(medoids)
     order = np.argsort(last_scores, kind="stable")
     candidates = [int(i) for i in order if int(i) not in taken][: 2 * p]
-    assignment, total = _assign_to_medoids(X, medoids)
-    return kmeans_module.MedoidSolution(medoids, assignment, total, candidates)
+    return kmeans_module.MedoidSolution(medoids, _assign_to_medoids(X, medoids), candidates)
 
 
 def pmedian_local_search_scan(ds, sol):
@@ -104,5 +101,5 @@ def pmedian_local_search_scan(ds, sol):
                     break
             if improved:
                 break
-    assignment, total = _assign_to_medoids(X, medoids)
-    return kmeans_module.MedoidSolution(medoids, assignment, total, list(sol.candidates))
+    assignment = _assign_to_medoids(X, medoids)
+    return kmeans_module.MedoidSolution(medoids, assignment, list(sol.candidates))

@@ -463,6 +463,17 @@ def test_bench_requires_exactly_one_suite_source(tmp_path):
     assert run_cli("bench", "--preset", "unknown") == 2
 
 
+def test_out_of_memory_is_a_solver_error(tmp_path, monkeypatch, capsys):
+    # once a traceback and exit 1
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 8.00 GiB")
+
+    monkeypatch.setattr(bench_mod, "run_algorithm", no_memory)
+    path = gen_instance(tmp_path, n=20, m=2, seed=1)
+    assert run_cli("solve", "--algo", "wards", "--r2t", "0.6", "--input", str(path)) == 4
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 8.00 GiB\n"
+
+
 def test_bench_empty_config_is_usage_error(tmp_path):
     config = tmp_path / "empty.json"
     config.write_text(json.dumps({"instances": [], "r2t": [0.6]}))

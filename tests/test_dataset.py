@@ -109,6 +109,29 @@ def test_spec_validation():
         InstanceSpec(Distribution.NORMAL01, 5, 3, 2**64)
 
 
+@pytest.mark.parametrize(
+    "n, m, seed, name",
+    [
+        (20.7, 3, 1, "n"),  # once numpy's TypeError in generate
+        (20, True, 1, "m"),
+        (20, 3, 1.0, "seed"),
+        (20, 3, "1", "seed"),
+        (20, np.bool_(True), 1, "m"),
+    ],
+    ids=["n-float", "m-bool", "seed-float", "seed-string", "m-numpy-bool"],
+)
+def test_spec_rejects_non_integer_sizes(n, m, seed, name):
+    with pytest.raises(DataError, match=f"^{name} must be an integer, got "):
+        InstanceSpec(Distribution.NORMAL01, n, m, seed)
+
+
+def test_spec_takes_numpy_integers():
+    spec = InstanceSpec(Distribution.NORMAL01, np.int64(20), np.int32(3), np.uint64(1))
+    assert generate(spec).values.tobytes() == generate(
+        InstanceSpec(Distribution.NORMAL01, 20, 3, 1)
+    ).values.tobytes()
+
+
 def test_instance_names():
     assert instance_name(InstanceSpec(Distribution.NORMAL01, 100, 3, 1)) == "N-100-3"
     assert instance_name(InstanceSpec(Distribution.UNIFORM, 500, 25, 1)) == "U-500-25"

@@ -23,7 +23,7 @@ from gcluster import (
 )
 from gcluster.dataset import Distribution, InstanceSpec
 from gcluster.errors import DataError
-from gcluster.stats import group_sums, merge_drop, sq_distances
+from gcluster.stats import check_threshold, group_sums, merge_drop, sq_distances
 
 from conftest import dataset_with_partition, tie_heavy_dataset
 
@@ -101,6 +101,7 @@ def test_evaluate_extremes():
         ([0, 1e300, 1], "integers"),
         (np.array(["0", "1", "0"]), "integers"),  # once numpy's UFuncTypeError
         (np.array([0, 0.5, 1], dtype=np.float16), "integers"),
+        ([0, 1, 2**63 - 1], "dense"),  # once an OverflowError from bincount
     ],
     ids=[
         "wrong-shape",
@@ -112,11 +113,36 @@ def test_evaluate_extremes():
         "huge",
         "strings",
         "float16-fraction",
+        "label-past-n",
     ],
 )
 def test_from_labels_rejects_bad_labels(labels, match):
     with pytest.raises(ValueError, match=match):
         Partition.from_labels(three_point_line(), labels)
+
+
+def test_from_labels_refuses_a_stray_label_before_allocating_for_it():
+    # a bincount over 10**6 slots once came before the density check (8 MB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dense"):
+            Partition.from_labels(three_point_line(), [0, 1, 10**6])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("r2t", ["0.5", True, None, [0.5]], ids=["string", "bool", "none", "list"])
+def test_check_threshold_rejects_non_real_values(r2t):
+    with pytest.raises(SolverError, match="threshold must be a real number"):
+        check_threshold(r2t)
+
+
+def test_check_threshold_takes_numpy_floats():
+    assert check_threshold(np.float64(0.5)) == 0.5
+    with pytest.raises(SolverError, match="strictly inside"):
+        check_threshold(np.float64(1.0))
 
 
 def test_from_labels_takes_float16_whole_labels_without_a_warning():

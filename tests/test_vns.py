@@ -222,6 +222,32 @@ def test_vns_config_validation():
         VnsConfig(seed=2**64)
 
 
+@pytest.mark.parametrize(
+    "kw, match",
+    [
+        ({"r_max": 2.5}, "r_max must be an integer"),  # once ran as r_max 2
+        ({"r_max": True}, "r_max must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),  # once a TypeError in vns_gc
+        ({"time_limit_seconds": "5"}, "time_limit_seconds must be a real number"),
+        ({"time_limit_seconds": True}, "time_limit_seconds must be a real number"),
+        ({"time_limit_seconds": 10**400}, "too large for a float"),
+    ],
+    ids=["rmax-float", "rmax-bool", "seed-float", "limit-string", "limit-bool", "limit-huge"],
+)
+def test_vns_config_rejects_wrong_types(kw, match):
+    with pytest.raises(ValueError, match=match):
+        VnsConfig(**kw)
+
+
+def test_vns_config_takes_numpy_numbers():
+    ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 30, 2, 5)))
+    cfg = VnsConfig(r_max=np.int64(4), time_limit_seconds=np.float64(60.0), seed=np.uint64(2))
+    got, trace = vns_gc(ds, 0.6, cfg)
+    want, want_trace = vns_gc(ds, 0.6, VnsConfig(r_max=4, time_limit_seconds=60.0, seed=2))
+    assert got.assignment.tobytes() == want.assignment.tobytes()
+    assert trace.iterations == want_trace.iterations
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 1000))
 def test_vns_feasible_on_random_instances(seed):
