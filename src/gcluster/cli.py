@@ -229,9 +229,11 @@ def _load_bench_config(path, cfg: VnsConfig):
         except ValueError as exc:
             raise DataError(f"bad instance entry {entry!r}: {exc}") from None
         raw = entry.get("r2t", doc.get("r2t", []))
+        if not isinstance(raw, list):
+            raise DataError(f"r2t must be a list of thresholds, got {raw!r}")
         try:
             r2ts = tuple(stats.check_threshold(v) for v in raw)
-        except (TypeError, SolverError) as exc:  # TypeError: r2t is not a list
+        except SolverError as exc:
             raise DataError(f"bad r2t {raw!r} for instance {entry!r}: {exc}") from None
         if not r2ts:
             raise DataError(f"instance entry {entry!r} has no r2t thresholds")

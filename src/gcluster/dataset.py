@@ -76,10 +76,13 @@ class _Owned:
 class Dataset:
     """Immutable n x m data matrix with standardization metadata.
 
-    ``column_means``/``column_sds`` record the transform applied by
-    :func:`standardize` (sample sd, n-1 denominator). ``degenerate_columns``
-    lists columns that were constant and have been zeroed out. ``_sst`` is
-    where :func:`stats.sst` caches its summary of the matrix on first use.
+    ``values`` keeps the memory layout it was built in: row-major from
+    :func:`load_csv` and :func:`generate`, column-major from
+    :func:`standardize`. ``column_means``/``column_sds`` record the
+    transform applied by :func:`standardize` (sample sd, n-1 denominator).
+    ``degenerate_columns`` lists columns that were constant and have been
+    zeroed out. ``_sst`` is where :func:`stats.sst` caches its summary of
+    the matrix on first use.
     """
 
     values: np.ndarray
@@ -152,6 +155,11 @@ def generate(spec: InstanceSpec) -> Dataset:
 def standardize(ds: Dataset) -> Dataset:
     """Z-score every column: subtract the mean, divide by the sample sd.
 
+    The result is column-major, so every reader of a standardized matrix
+    (group sums, the certificate, SST, k-means) takes contiguous columns.
+    Its values have the same bits as a row-major result would; the means
+    and sds are reduced in the layout of ``ds``.
+
     Constant columns cannot be scaled; they are zeroed and reported in the
     returned dataset's ``degenerate_columns``. Raises
     :class:`DegenerateDataError` if every column is constant, and
@@ -172,7 +180,8 @@ def standardize(ds: Dataset) -> Dataset:
             f"column {j} cannot be z-scored in float64: its mean or spread overflows"
             f" (sd {sds[j]:.3g}, mean {means[j]:.6g})"
         )
-    out = np.abs(v)  # the one n x m array: |x| first, then the result
+    # the one n x m array: |x| first, then the result, column-major
+    out = np.abs(v, out=np.empty(v.shape, order="F"))
     scale = np.maximum(out.max(axis=0), 1.0)
     degenerate = sds <= _DEGENERATE_REL_SD * scale
     if degenerate.all():

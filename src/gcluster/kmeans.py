@@ -33,7 +33,8 @@ sum, and the plain rule picks among those.
 Everything here is deterministic: no randomness, ties broken by lowest index.
 Each block of distances holds at most ``_BLOCK_BUDGET`` floats, or one point's
 (two, if padded) where that alone is more; :func:`stats.sq_distances` takes
-them all, squared, on the attribute-major (m, n) copy each stage makes once.
+them all, squared, on the attribute-major (m, n) matrix of each stage: a view
+of a standardized dataset's column-major values, else a copy made once.
 """
 
 from __future__ import annotations

@@ -63,8 +63,12 @@ def meets_threshold(r2_value, r2t: float):
 def sst(ds: Dataset) -> SstSummary:
     """Per-attribute and total sum of squares around the grand mean.
 
-    Cached on the Dataset it describes. Raises :class:`DegenerateDataError` when
-    every attribute's variance is negligible (at most 1e-12 of the
+    The sums run down each column in the matrix's memory order: pairwise
+    for the column-major matrices :func:`dataset.standardize` returns, row
+    by row for a row-major raw matrix.
+
+    Cached on the Dataset it describes. Raises :class:`DegenerateDataError`
+    when every attribute's variance is negligible (at most 1e-12 of the
     attribute's scale): SST is then 0 up to round-off and R^2 is undefined.
     Identical rows are the common case, but not the only one. Raises
     :class:`DataError` naming a column when the sums overflow float64:
@@ -201,7 +205,9 @@ class Partition:
 def group_sums(values: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Per-group column sums, shape (k, m), by one ``np.bincount`` per column.
     Rows are added in ascending order, as ``np.add.at`` adds them, so the bits
-    are the same."""
+    are the same, and the same in either memory layout of ``values``; the
+    column-major one that :func:`dataset.standardize` returns reads each
+    column contiguously."""
     return np.stack([np.bincount(labels, col, k) for col in values.T], axis=1)
 
 

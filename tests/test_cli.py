@@ -562,6 +562,20 @@ def test_bench_config_is_checked_before_solving(tmp_path, capsys, text):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("r2t", [0.6, "0.6"], ids=["scalar", "string"])
+def test_bench_config_names_an_r2t_that_is_not_a_list(tmp_path, capsys, r2t):
+    # a scalar was once worded "'float' object is not iterable", and a string
+    # was read one character at a time and blamed "got '0'"
+    config = tmp_path / "suite.json"
+    config.write_text(
+        json.dumps({"instances": [{"dist": "normal", "n": 12, "m": 2, "seed": 1}], "r2t": r2t})
+    )
+    out_csv = tmp_path / "rows.csv"
+    assert run_cli("bench", "--config", str(config), "--out", str(out_csv)) == 3
+    assert capsys.readouterr().err == f"error: r2t must be a list of thresholds, got {r2t!r}\n"
+    assert not out_csv.exists()
+
+
 def test_solve_uncertified_partition_is_solver_error(tmp_path, monkeypatch, capsys):
     # a solver whose partition claims R^2 = 1 while its labels form one group
     def lying_wards(ds, r2t):

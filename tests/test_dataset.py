@@ -212,6 +212,18 @@ def test_standardize_matches_the_temporaries_byte_for_byte(ds, j, offset):
     assert out.degenerate_columns == degenerate
 
 
+@pytest.mark.parametrize("constant", [None, 2])
+def test_standardize_returns_its_matrix_column_major(constant):
+    # its readers (group_sums, the certificate, SST, k-means) take whole columns
+    values = np.random.default_rng(4).normal(size=(50, 4))
+    if constant is not None:
+        values[:, constant] = 7.0
+    out = standardize(Dataset(values))
+    assert out.values.flags.f_contiguous and not out.values.flags.c_contiguous
+    assert out.degenerate_columns == (() if constant is None else (constant,))
+    assert out.values.tobytes() == _standardized_by_temporaries(values)[0].tobytes()
+
+
 def test_standardize_peak_memory_is_near_one_matrix():
     # An n x m |x| next to the result, and the standardized check's copies
     # of the columns, peaked at 3x the matrix's bytes.

@@ -125,6 +125,11 @@ def test_probe_without_a_swap_makes_one_nearest_medoid_pass(monkeypatch):
     assert calls == [2]
 
 
+def test_greedy_opening_reads_the_standardized_columns_without_a_copy():
+    ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 60, 3, 2)))
+    assert np.shares_memory(kmeans_module._GreedyOpening(ds).XT, ds.values)
+
+
 def test_local_search_beats_greedy_and_respects_optimum():
     for seed in range(6):
         ds = generate(InstanceSpec(Distribution.UNIFORM, 8, 2, seed))

@@ -509,6 +509,19 @@ def test_certificate_keeps_row_major_bits_and_sums_ssw_closely(case):
     assert_certificate(*case)
 
 
+@settings(max_examples=60, deadline=None)
+@given(certificate_case())
+def test_group_sums_and_ssw_keep_their_bits_in_either_layout(case):
+    ds, p = case
+    fortran = Dataset(np.asfortranarray(ds.values))
+    assert fortran.values.flags.f_contiguous
+    sums = group_sums(ds.values, p.assignment, p.k)
+    assert group_sums(fortran.values, p.assignment, p.k).tobytes() == sums.tobytes()
+    q = Partition.from_labels(fortran, p.assignment)
+    assert q.sums.tobytes() == sums.tobytes()
+    assert float(evaluate(fortran, q).ssw).hex() == float(evaluate(ds, p).ssw).hex()
+
+
 def _pinned_certificate_case():
     ds = generate(InstanceSpec(Distribution.NORMAL01, 20_000, 5, 11))
     return ds, Partition.from_labels(ds, np.arange(ds.n) % 37)
