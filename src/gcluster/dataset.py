@@ -157,8 +157,9 @@ def standardize(ds: Dataset) -> Dataset:
 
     The result is column-major, so every reader of a standardized matrix
     (group sums, the certificate, SST, k-means) takes contiguous columns.
-    Its values have the same bits as a row-major result would; the means
-    and sds are reduced in the layout of ``ds``.
+    The means and sds are reduced on a row-major copy of a column-major
+    ``ds`` (a row-major one is read in place), so the result has the same
+    bits whichever layout the caller passes.
 
     Constant columns cannot be scaled; they are zeroed and reported in the
     returned dataset's ``degenerate_columns``. Raises
@@ -171,9 +172,11 @@ def standardize(ds: Dataset) -> Dataset:
     if ds.standardized:
         raise DataError("dataset is already standardized")
     v = ds.values
+    rows = np.ascontiguousarray(v)  # copies a column-major input only
     with np.errstate(over="ignore", invalid="ignore"):
-        means = v.mean(axis=0)
-        sds = v.std(axis=0, ddof=1)
+        means = rows.mean(axis=0)
+        sds = rows.std(axis=0, ddof=1)
+    del rows  # before the result is allocated
     if not np.isfinite(sds).all():
         j = np.flatnonzero(~np.isfinite(sds))[0]
         raise DataError(

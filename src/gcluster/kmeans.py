@@ -30,11 +30,20 @@ sums round differently from the plain ones, so they only screen: whatever
 they place within 1e-9 (relative) of the best is re-costed with the plain
 sum, and the plain rule picks among those.
 
+A search computes each point-to-point distance once when n * n <=
+``_BLOCK_BUDGET`` (n <= 2048): the opening keeps all of them in one
+:class:`_Table` of 8 n^2 bytes (at most 32 MiB), computed in its first pass's
+chunks, and that pass, the folds, the exact opening costs and the swap
+search's columns read their blocks from it. Only
+the passes against the medoids (:func:`_nearest_two`) and Lloyd's passes
+against the centroids compute theirs; for a larger n every stage does.
+
 Everything here is deterministic: no randomness, ties broken by lowest index.
 Each block of distances holds at most ``_BLOCK_BUDGET`` floats, or one point's
 (two, if padded) where that alone is more; :func:`stats.sq_distances` takes
 them all, squared, on the attribute-major (m, n) matrix of each stage: a view
-of a standardized dataset's column-major values, else a copy made once.
+of a standardized dataset's column-major values, else a copy made once. A
+distance read from the table has the bits a computed one has.
 """
 
 from __future__ import annotations
@@ -50,8 +59,8 @@ from .stats import Partition
 
 MAX_LLOYD_ITERATIONS = 999
 
-# Cap (in floats) on each transient distance tensor, and on the swap search's
-# cache of candidate distance columns.
+# Cap (in floats) on each transient distance tensor, on the swap search's
+# cache of candidate distance columns, and on a search's distance table.
 _BLOCK_BUDGET = 1 << 22
 
 
@@ -88,9 +97,49 @@ def _chunks(count: int, per_item: int):
         yield lo, min(count, lo + step)
 
 
-def _column(XT: np.ndarray, j: int) -> np.ndarray:
-    """Euclidean distance of every column of the attribute-major XT to column j."""
-    return np.sqrt(stats.sq_distances(XT, XT[:, j : j + 1]))
+class _Table:
+    """The Euclidean distances between the n points of the attribute-major
+    XT, kept as one n x n matrix when n * n <= ``_BLOCK_BUDGET``: n <= 2048,
+    8 n^2 bytes, at most 32 MiB. It is filled in the column chunks the
+    opening's first pass takes, so it adds no temporary larger than one of
+    that pass's. The stages read their blocks from it (see :func:`_distances`),
+    in chunks as wide as XT's computed ones, so it keeps XT too."""
+
+    __slots__ = ("XT", "values")
+
+    def __init__(self, XT: np.ndarray):
+        n = XT.shape[1]
+        self.XT = XT
+        self.values = np.empty((n, n))
+        for lo, hi in _chunks(n, XT.size):
+            squares = stats.sq_distances(XT[:, :, None], XT[:, None, lo:hi])
+            np.sqrt(squares, out=self.values[:, lo:hi])
+            del squares  # before the next chunk's
+
+
+def _distances(points: np.ndarray | _Table, rows, cols) -> np.ndarray:
+    """Euclidean distances (len(rows), len(cols)) as a new C-ordered array,
+    between the points ``rows`` and ``cols``: one a slice, the other an index
+    array. ``points`` is the attribute-major XT, whose distances are computed,
+    or its :class:`_Table`, whose distances are read. :func:`stats.sq_distances`
+    and the square root work element by element, so a pair has the same bits
+    computed or read, and from either end. An index array is gathered with
+    ``take``: fancy indexing along axis 1 would put the gathered axis first in
+    memory, and the blocks would be slower to compute."""
+    if isinstance(points, _Table):
+        if isinstance(cols, slice):
+            return points.values[rows, cols]
+        return points.values[rows].take(cols, 1)
+    a, b = (points[:, i] if isinstance(i, slice) else points.take(i, 1) for i in (rows, cols))
+    return np.sqrt(stats.sq_distances(a[:, :, None], b[:, None, :]))
+
+
+def _column(points: np.ndarray | _Table, j: int) -> np.ndarray:
+    """Euclidean distance of every point to point j, as :func:`_distances`
+    gives it: row j of a table (a view, the same bits as column j)."""
+    if isinstance(points, _Table):
+        return points.values[j]
+    return np.sqrt(stats.sq_distances(points, points[:, j : j + 1]))
 
 
 def _nearest_two(XT: np.ndarray, PT: np.ndarray, squared: bool = False):
@@ -155,16 +204,20 @@ def _assign_to_medoids(medoids: list[int], nearest: np.ndarray) -> np.ndarray:
     return assignment
 
 
-def _opening_costs(XT: np.ndarray, d: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _opening_costs(
+    points: np.ndarray | _Table, d: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
     """Cost sum_i min(d_i, |x_i - x_j|) of opening each column j of ``cols``,
     summed row by row whichever columns share its block: numpy sums an (n, w)
     block down axis 0 row by row for w >= 2 but a lone column pairwise, so a
-    one-column block is padded with a copy of its column.
+    one-column block is padded with a copy of its column. ``points`` is as
+    in :func:`_distances`; a table's blocks are as wide as computed ones.
     """
+    XT = points.XT if isinstance(points, _Table) else points
     out = np.empty(len(cols))
     for lo, hi in _chunks(len(cols), XT.size):
         sel = cols[lo:hi] if hi - lo > 1 else np.repeat(cols[lo:hi], 2)
-        block = np.sqrt(stats.sq_distances(XT[:, :, None], XT.take(sel, 1)[:, None, :]))
+        block = _distances(points, slice(None), sel)
         out[lo:hi] = np.minimum(d[:, None], block).sum(axis=0)[: hi - lo]
     return out
 
@@ -177,10 +230,11 @@ class _GreedyOpening:
     The first medoid minimizes the summed distance to all elements; each later
     one is the element whose opening gives the largest cost reduction.
     Construction costs each column j exactly, S_j = sum_i b_ij with b_ij =
-    |x_i - x_j|. The costs are then updated, not recomputed: a fold subtracts
-    sum_i [min(d_i, b_ij) - min(d'_i, b_ij)] over the rows whose distance to
-    the nearest medoid dropped from d to d' (every row on the first fold, from
-    d = inf). These running costs only screen: every opening, the first
+    |x_i - x_j|, read from the search's :class:`_Table` when n * n fits
+    ``_BLOCK_BUDGET``, as every later b_ij then is. The costs are then
+    updated, not recomputed: a fold subtracts sum_i [min(d_i, b_ij) -
+    min(d'_i, b_ij)] over the rows whose distance to the nearest medoid
+    dropped from d to d' (every row on the first fold, from d = inf). These running costs only screen: every opening, the first
     included, costs exactly the columns within ``tol`` = 1e-9 * max(max_j S_j,
     1) of the lowest, and the lowest index among their exact minima opens.
     ``d`` lacks the last medoid opened until the next opening folds it in.
@@ -202,21 +256,22 @@ class _GreedyOpening:
 
     def __init__(self, ds: Dataset):
         self.XT = np.ascontiguousarray(ds.values.T)
+        self.points = _Table(self.XT) if ds.n * ds.n <= _BLOCK_BUDGET else self.XT
         self.medoids: list[int] = []
         self.d = np.full(ds.n, np.inf)
-        self.scores = _opening_costs(self.XT, self.d, np.arange(ds.n))  # running costs
+        self.scores = _opening_costs(self.points, self.d, np.arange(ds.n))  # running costs
         self.tol = 1e-9 * max(float(self.scores.max()), 1.0)
         self.windows: list[np.ndarray] = []  # ranking window of each opening
 
     def extend(self, p: int) -> None:
         """Open medoids until ``p`` are open."""
-        XT, n = self.XT, self.XT.shape[1]
+        n = self.XT.shape[1]
         while len(self.medoids) < p:
             if self.medoids:
                 self._fold_in(self.medoids[-1])
             scores = self.scores
             near = np.flatnonzero(scores <= scores.min() + self.tol)
-            chosen = int(near[np.argmin(_opening_costs(XT, self.d, near))])
+            chosen = int(near[np.argmin(_opening_costs(self.points, self.d, near))])
             # the window of opening p = len(self.medoids) + 1 (class docstring)
             rank = min(2 * len(self.medoids) + 3, n - len(self.medoids))
             edge = np.partition(scores, rank - 1)[rank - 1]
@@ -224,14 +279,13 @@ class _GreedyOpening:
             self.medoids.append(chosen)
 
     def _fold_in(self, opened: int) -> None:
-        XT, d, scores = self.XT, self.d, self.scores
-        d_new = np.minimum(d, _column(XT, opened))
+        points, d, scores = self.points, self.d, self.scores
+        d_new = np.minimum(d, _column(points, opened))
         rows = np.flatnonzero(d_new < d)
         scores[opened] = np.inf
         old, new = d[rows, None], d_new[rows, None]
-        moved = XT.take(rows, 1)[:, :, None]
-        for lo, hi in _chunks(XT.shape[1], moved.size):
-            block = np.sqrt(stats.sq_distances(moved, XT[:, None, lo:hi]))
+        for lo, hi in _chunks(len(d), len(self.XT) * len(rows)):
+            block = _distances(points, rows, slice(lo, hi))
             gain = np.minimum(old, block)
             gain -= np.minimum(new, block, out=block)
             scores[lo:hi] -= gain.sum(axis=0)
@@ -266,7 +320,7 @@ class _GreedyOpening:
         nearest, d1, d2 = _nearest_two(XT, XT.take(medoids, 1))
         d = np.where(nearest == p - 1, d2, d1)  # the fold extend() made
         window = self.windows[p - 1]
-        order = window[np.argsort(_opening_costs(XT, d, window), kind="stable")]
+        order = window[np.argsort(_opening_costs(self.points, d, window), kind="stable")]
         taken = set(medoids)
         candidates = [int(i) for i in order if int(i) not in taken][: 2 * p]
         sol = MedoidSolution(medoids, _assign_to_medoids(medoids, nearest), candidates)
@@ -294,7 +348,11 @@ def pmedian_greedy(ds: Dataset, p: int) -> MedoidSolution:
 
 
 def pmedian_local_search(
-    ds: Dataset, sol: MedoidSolution, *, _pass: tuple[np.ndarray, ...] | None = None
+    ds: Dataset,
+    sol: MedoidSolution,
+    *,
+    _pass: tuple[np.ndarray, ...] | None = None,
+    _points: np.ndarray | _Table | None = None,
 ) -> MedoidSolution:
     """Improve the medoid set by single swaps with the recorded candidates.
 
@@ -313,8 +371,12 @@ def pmedian_local_search(
     When no swap helps, ``sol`` itself is returned. ``_pass``, for a probe,
     is the :func:`_nearest_two` pass over ``sol``'s medoids that built it
     (not modified); without it the search makes that pass itself.
+    ``_points``, for a probe, is the opening's distance source, so the
+    candidate and outgoing columns are read from its :class:`_Table` when
+    it has one; without it they are computed.
     """
     XT = np.ascontiguousarray(ds.values.T)
+    points = XT if _points is None else _points
     medoids = list(sol.medoids)
     p = len(medoids)
     nearest, d1, d2 = _nearest_two(XT, XT.take(medoids, 1)) if _pass is None else _pass
@@ -328,7 +390,7 @@ def pmedian_local_search(
                 continue
             dc = columns.get(cand)
             if dc is None:
-                dc = _column(XT, cand)
+                dc = _column(points, cand)
                 if (len(columns) + 1) * len(dc) <= _BLOCK_BUDGET:
                     columns[cand] = dc
             m1 = np.minimum(d1, dc)
@@ -336,7 +398,7 @@ def pmedian_local_search(
             for pos in np.flatnonzero(trial < cost + 1e-9 * max(cost, 1.0)):
                 fallback = np.where(nearest == pos, d2, d1)
                 if float(np.minimum(fallback, dc).sum()) < cost:
-                    d_out = _column(XT, medoids[pos])
+                    d_out = _column(points, medoids[pos])
                     medoids[pos] = cand
                     nearest, d1, d2 = _swap_nearest_two(
                         XT, medoids, pos, d_out, dc, nearest, d1, d2
@@ -355,26 +417,33 @@ def kmeans(ds: Dataset, init: Partition) -> KmeansResult:
     """Lloyd iterations from an initial partition; k is its group count.
 
     Points are reassigned to the nearest centroid (Euclidean; implemented
-    with squared distances, which give the same argmin) until a pass makes
-    no reassignment or the iteration cap is hit. A reassignment that would
-    empty a group is repaired by reseeding the group with the element
-    farthest from its own centroid, so the result always has k non-empty
-    groups. No pass raises the SSE: a repair moves an element onto a group
-    of its own.
+    as the argmin of squared distances, ties to the lowest group) until a
+    pass makes no reassignment or the iteration cap is hit. The centroids
+    are built attribute-major, one ``bincount`` per attribute, over the
+    sizes the previous pass counted. A reassignment that would empty a
+    group is repaired by reseeding the group with the element farthest from
+    its own centroid, so the result always has k non-empty groups; only
+    such a pass computes those distances. No pass raises the SSE: a repair
+    moves an element onto a group of its own.
     """
     k = init.k
-    X = ds.values
-    XT = np.ascontiguousarray(X.T)
-    labels = init.assignment.copy()
+    XT = np.ascontiguousarray(ds.values.T)
+    labels, sizes = init.assignment, init.sizes
     converged = False
     iterations = 0
     for _ in range(MAX_LLOYD_ITERATIONS):
         iterations += 1
-        centroids = stats.group_sums(X, labels, k) / np.bincount(labels, minlength=k)[:, None]
+        CT = np.stack([np.bincount(labels, x, k) for x in XT]) / sizes
 
-        new_labels, own_sq, _ = _nearest_two(XT, np.ascontiguousarray(centroids.T), squared=True)
+        new_labels = np.empty(ds.n, dtype=np.int64)
+        for lo, hi in _chunks(ds.n, CT.size):
+            block = stats.sq_distances(CT[:, :, None], XT[:, None, lo:hi])
+            new_labels[lo:hi] = np.argmin(block, axis=0)
         new_sizes = np.bincount(new_labels, minlength=k)
-        for q in np.flatnonzero(new_sizes == 0):
+        empty = np.flatnonzero(new_sizes == 0)
+        if len(empty):  # a pair has the same bits as in the block
+            own_sq = stats.sq_distances(XT, CT.take(new_labels, 1))
+        for q in empty:
             movable = own_sq.copy()
             movable[new_sizes[new_labels] < 2] = -np.inf
             donor = int(np.argmax(movable))
@@ -386,13 +455,13 @@ def kmeans(ds: Dataset, init: Partition) -> KmeansResult:
         if np.array_equal(new_labels, labels):
             converged = True
             break
-        labels = new_labels
+        labels, sizes = new_labels, new_sizes
     return KmeansResult(Partition.from_labels(ds, labels), converged, iterations)
 
 
 def _probe(ds: Dataset, k: int, opening: _GreedyOpening) -> KmeansResult:
     sol, nearest_pass = opening.solve(k)
-    sol = pmedian_local_search(ds, sol, _pass=nearest_pass)
+    sol = pmedian_local_search(ds, sol, _pass=nearest_pass, _points=opening.points)
     return kmeans(ds, Partition.from_labels(ds, sol.assignment))
 
 
