@@ -37,7 +37,7 @@ EXIT_DATA = 3
 EXIT_SOLVER = 4
 
 
-def _standardization_record(ds: Dataset) -> dict | None:
+def _standardization_record(ds: Dataset) -> dict:
     if not ds.standardized:
         return {"applied": False}
     return {

@@ -12,9 +12,8 @@ bisection over 1..n opens with.
 Both medoid stages do work in proportion to what changed, and decide
 exactly as the plain loops would. The greedy opening order does not depend
 on the number of medoids p, so one search builds it once and every probe
-takes the prefix it needs; each prefix is exact because every opening is
-confirmed with exact costs that break ties by lowest index, as a loop
-stopping at p would. A probe's result therefore depends on its k alone,
+takes the prefix it needs; each prefix is exact (see
+:class:`_GreedyOpening`). A probe's result therefore depends on its k alone,
 not on which probes came before it: any driver that stops at the same k
 returns the same partition, bit for bit. The opening costs all n columns
 exactly once, then keeps a running cost per element that each opening
@@ -30,20 +29,16 @@ sums round differently from the plain ones, so they only screen: whatever
 they place within 1e-9 (relative) of the best is re-costed with the plain
 sum, and the plain rule picks among those.
 
-A search computes each point-to-point distance once when n * n <=
-``_BLOCK_BUDGET`` (n <= 2048): the opening keeps all of them in one
-:class:`_Table` of 8 n^2 bytes (at most 32 MiB), computed in its first pass's
-chunks, and that pass, the folds, the exact opening costs and the swap
-search's columns read their blocks from it. Only
-the passes against the medoids (:func:`_nearest_two`) and Lloyd's passes
-against the centroids compute theirs; for a larger n every stage does.
+A search computes each point-to-point distance once when its n x n
+:class:`_Table` fits ``_BLOCK_BUDGET``. Only the passes against the medoids
+(:func:`_nearest_two`) and Lloyd's passes against the centroids compute
+theirs; for a larger n every stage does.
 
 Everything here is deterministic: no randomness, ties broken by lowest index.
 Each block of distances holds at most ``_BLOCK_BUDGET`` floats, or one point's
 (two, if padded) where that alone is more; :func:`stats.sq_distances` takes
 them all, squared, on the attribute-major (m, n) matrix of each stage: a view
-of a standardized dataset's column-major values, else a copy made once. A
-distance read from the table has the bits a computed one has.
+of a standardized dataset's column-major values, else a copy made once.
 """
 
 from __future__ import annotations
@@ -102,8 +97,9 @@ class _Table:
     XT, kept as one n x n matrix when n * n <= ``_BLOCK_BUDGET``: n <= 2048,
     8 n^2 bytes, at most 32 MiB. It is filled in the column chunks the
     opening's first pass takes, so it adds no temporary larger than one of
-    that pass's. The stages read their blocks from it (see :func:`_distances`),
-    in chunks as wide as XT's computed ones, so it keeps XT too."""
+    that pass's. That pass, the folds, the exact opening costs and the swap
+    search's columns read their blocks from it (see :func:`_distances`), in
+    chunks as wide as XT's computed ones, so it keeps XT too."""
 
     __slots__ = ("XT", "values")
 
@@ -118,14 +114,16 @@ class _Table:
 
 
 def _distances(points: np.ndarray | _Table, rows, cols) -> np.ndarray:
-    """Euclidean distances (len(rows), len(cols)) as a new C-ordered array,
-    between the points ``rows`` and ``cols``: one a slice, the other an index
-    array. ``points`` is the attribute-major XT, whose distances are computed,
-    or its :class:`_Table`, whose distances are read. :func:`stats.sq_distances`
-    and the square root work element by element, so a pair has the same bits
-    computed or read, and from either end. An index array is gathered with
-    ``take``: fancy indexing along axis 1 would put the gathered axis first in
-    memory, and the blocks would be slower to compute."""
+    """Euclidean distances (len(rows), len(cols)) between the points ``rows``
+    and ``cols``, each a slice or an index array: the one reader of distances
+    between data points here. ``points`` is the attribute-major XT, whose
+    distances are computed, or its :class:`_Table`, whose distances are read:
+    as a view of the table when both are slices, else as a new array.
+    :func:`stats.sq_distances` and the square root work element by element,
+    so a pair has the same bits computed or read, and from either end. An
+    index array is gathered with ``take``: fancy indexing along axis 1 would
+    put the gathered axis first in memory, and the blocks would be slower to
+    compute."""
     if isinstance(points, _Table):
         if isinstance(cols, slice):
             return points.values[rows, cols]
@@ -134,23 +132,14 @@ def _distances(points: np.ndarray | _Table, rows, cols) -> np.ndarray:
     return np.sqrt(stats.sq_distances(a[:, :, None], b[:, None, :]))
 
 
-def _column(points: np.ndarray | _Table, j: int) -> np.ndarray:
-    """Euclidean distance of every point to point j, as :func:`_distances`
-    gives it: row j of a table (a view, the same bits as column j)."""
-    if isinstance(points, _Table):
-        return points.values[j]
-    return np.sqrt(stats.sq_distances(points, points[:, j : j + 1]))
-
-
-def _nearest_two(XT: np.ndarray, PT: np.ndarray, squared: bool = False):
+def _nearest_two(XT: np.ndarray, PT: np.ndarray):
     """Nearest and second-nearest of the points PT for every point of XT, both
     attribute-major: (m, n) and (m, p).
 
-    Returns (nearest_index, nearest_dist, second_dist); second_dist is +inf
-    when there is a single point. Ties resolve to the lowest index. Distances
-    are Euclidean, or squared when ``squared`` is set: the square root can
-    round two different squares to one value and so create ties. XT is taken
-    w points at a time, as a (p, w) block against PT with argmin down axis 0.
+    Returns (nearest_index, nearest_dist, second_dist), Euclidean;
+    second_dist is +inf when there is a single point. Ties resolve to the
+    lowest index. XT is taken w points at a time, as a (p, w) block against
+    PT with argmin down axis 0.
     """
     n = XT.shape[1]
     nearest = np.empty(n, dtype=np.int64)
@@ -158,8 +147,7 @@ def _nearest_two(XT: np.ndarray, PT: np.ndarray, squared: bool = False):
     d2 = np.empty(n)
     for lo, hi in _chunks(n, PT.size):
         block = stats.sq_distances(PT[:, :, None], XT[:, None, lo:hi])
-        if not squared:
-            np.sqrt(block, out=block)
+        np.sqrt(block, out=block)
         cols = np.arange(hi - lo)
         bm = nearest[lo:hi] = np.argmin(block, axis=0)
         d1[lo:hi] = block[bm, cols]
@@ -224,8 +212,7 @@ def _opening_costs(
 
 class _GreedyOpening:
     """The greedy opening order, shared by every medoid count p: it is
-    extended only when a caller asks for more medoids than it holds, and
-    :func:`pmedian_greedy` says why each prefix is exact.
+    extended only when a caller asks for more medoids than it holds.
 
     The first medoid minimizes the summed distance to all elements; each later
     one is the element whose opening gives the largest cost reduction.
@@ -234,10 +221,14 @@ class _GreedyOpening:
     ``_BLOCK_BUDGET``, as every later b_ij then is. The costs are then
     updated, not recomputed: a fold subtracts sum_i [min(d_i, b_ij) -
     min(d'_i, b_ij)] over the rows whose distance to the nearest medoid
-    dropped from d to d' (every row on the first fold, from d = inf). These running costs only screen: every opening, the first
-    included, costs exactly the columns within ``tol`` = 1e-9 * max(max_j S_j,
-    1) of the lowest, and the lowest index among their exact minima opens.
-    ``d`` lacks the last medoid opened until the next opening folds it in.
+    dropped from d to d' (every row on the first fold, from d = inf). These
+    running costs only screen: every opening, the first included, costs
+    exactly the columns within ``tol`` = 1e-9 * max(max_j S_j, 1) of the
+    lowest, summed row by row (a lone column padded) as a full pass sums
+    them, and the lowest index among their exact minima opens. That rule
+    does not depend on p, so each prefix of the order is exact: its p-th
+    medoid is the one a loop stopping at p would open. ``d`` lacks the last
+    medoid opened until the next opening folds it in.
 
     The screen keeps the exact minima while a running cost is within tol / 2 of
     the exact c_j = sum_i min(d_i, b_ij) (u = 2^-53, g = n u / (1 - n u);
@@ -280,7 +271,7 @@ class _GreedyOpening:
 
     def _fold_in(self, opened: int) -> None:
         points, d, scores = self.points, self.d, self.scores
-        d_new = np.minimum(d, _column(points, opened))
+        d_new = np.minimum(d, _distances(points, slice(opened, opened + 1), slice(None))[0])
         rows = np.flatnonzero(d_new < d)
         scores[opened] = np.inf
         old, new = d[rows, None], d_new[rows, None]
@@ -331,18 +322,11 @@ def pmedian_greedy(ds: Dataset, p: int) -> MedoidSolution:
     """Open p medoids greedily, one per iteration, and record up to 2p
     runners-up of the final iteration as swap candidates.
 
-    This is one prefix of the shared opening sequence (see
-    :class:`_GreedyOpening`), built for this call alone. :func:`kmeans_gc`
-    does not call this function: it builds the sequence once and takes every
-    probe's prefix from it with :meth:`_GreedyOpening.solve`. A prefix is exact
-    because every opening, the first included, is confirmed with exact costs
-    summed row by row (a lone column padded), as a full pass sums them, and
-    the lowest index among the exact minima opens whatever p is, so the p-th
-    medoid is the one a loop stopping at p would open. The runners-up are
-    ranked by the same exact costs over the window the p-th opening kept (see
-    :meth:`_GreedyOpening.solve`). Both rest on the screens holding the exact
-    minima, which the class docstring's rounding bound guarantees for n up
-    to about 10^6.
+    This is one prefix of the shared opening sequence, built for this call
+    alone; :class:`_GreedyOpening` says why a prefix is exact, and
+    :meth:`_GreedyOpening.solve` how the runners-up are ranked.
+    :func:`kmeans_gc` does not call this function: it builds the sequence
+    once and takes every probe's prefix from it.
     """
     return _GreedyOpening(ds).solve(p)[0]
 
@@ -390,7 +374,7 @@ def pmedian_local_search(
                 continue
             dc = columns.get(cand)
             if dc is None:
-                dc = _column(points, cand)
+                dc = _distances(points, slice(cand, cand + 1), slice(None))[0]
                 if (len(columns) + 1) * len(dc) <= _BLOCK_BUDGET:
                     columns[cand] = dc
             m1 = np.minimum(d1, dc)
@@ -398,7 +382,8 @@ def pmedian_local_search(
             for pos in np.flatnonzero(trial < cost + 1e-9 * max(cost, 1.0)):
                 fallback = np.where(nearest == pos, d2, d1)
                 if float(np.minimum(fallback, dc).sum()) < cost:
-                    d_out = _column(points, medoids[pos])
+                    out = medoids[pos]
+                    d_out = _distances(points, slice(out, out + 1), slice(None))[0]
                     medoids[pos] = cand
                     nearest, d1, d2 = _swap_nearest_two(
                         XT, medoids, pos, d_out, dc, nearest, d1, d2
@@ -419,11 +404,11 @@ def kmeans(ds: Dataset, init: Partition) -> KmeansResult:
     Points are reassigned to the nearest centroid (Euclidean; implemented
     as the argmin of squared distances, ties to the lowest group) until a
     pass makes no reassignment or the iteration cap is hit. The centroids
-    are built attribute-major, one ``bincount`` per attribute, over the
-    sizes the previous pass counted. A reassignment that would empty a
-    group is repaired by reseeding the group with the element farthest from
-    its own centroid, so the result always has k non-empty groups; only
-    such a pass computes those distances. No pass raises the SSE: a repair
+    are :func:`stats.group_sums`, attribute-major, over the sizes the
+    previous pass counted. A reassignment that would empty a group is
+    repaired by reseeding the group with the element farthest from its own
+    centroid, so the result always has k non-empty groups; only such a pass
+    computes those distances. No pass raises the SSE: a repair
     moves an element onto a group of its own.
     """
     k = init.k
@@ -433,7 +418,8 @@ def kmeans(ds: Dataset, init: Partition) -> KmeansResult:
     iterations = 0
     for _ in range(MAX_LLOYD_ITERATIONS):
         iterations += 1
-        CT = np.stack([np.bincount(labels, x, k) for x in XT]) / sizes
+        # C order: a transposed CT would lay the (m, k, w) blocks out slower
+        CT = np.ascontiguousarray(stats.group_sums(XT.T, labels, k).T) / sizes
 
         new_labels = np.empty(ds.n, dtype=np.int64)
         for lo, hi in _chunks(ds.n, CT.size):

@@ -105,16 +105,15 @@ def test_local_search_fixed_point(monkeypatch):
 
 
 def test_probe_without_a_swap_makes_one_nearest_medoid_pass(monkeypatch):
-    # the swap search starts from the pass that assigned the greedy solution;
-    # Lloyd's passes against centroids are squared and not counted here
+    # the swap search starts from the pass that assigned the greedy solution
     ds = three_point_line()
     calls = []
     nearest_two = kmeans_module._nearest_two
 
-    def counting(XT, PT, squared=False):
-        if XT.shape[1] == ds.n and not squared:
+    def counting(XT, PT):
+        if XT.shape[1] == ds.n:
             calls.append(PT.shape[1])
-        return nearest_two(XT, PT, squared)
+        return nearest_two(XT, PT)
 
     monkeypatch.setattr(kmeans_module, "_nearest_two", counting)
     opening = kmeans_module._GreedyOpening(ds)
@@ -359,10 +358,14 @@ def test_swap_update_equals_full_recompute(ds, seed):
     medoids, newcomer = picked[:p], picked[p]
     pos = int(rng.integers(p))
     nearest, d1, d2 = kmeans_module._nearest_two(XT, XT.take(medoids, 1))
-    d_out = kmeans_module._column(XT, medoids[pos])
+
+    def column(j):
+        return kmeans_module._distances(XT, slice(j, j + 1), slice(None))[0]
+
+    d_out = column(medoids[pos])
     medoids[pos] = newcomer
     got = kmeans_module._swap_nearest_two(
-        XT, medoids, pos, d_out, kmeans_module._column(XT, newcomer), nearest, d1, d2
+        XT, medoids, pos, d_out, column(newcomer), nearest, d1, d2
     )
     for a, b in zip(got, kmeans_module._nearest_two(XT, XT.take(medoids, 1))):
         assert np.array_equal(a, b)
@@ -378,8 +381,8 @@ def nearest_two_case(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(nearest_two_case(), st.booleans(), st.booleans())
-def test_nearest_two_matches_reference_along_the_point_axis(case, squared, one_point_blocks):
+@given(nearest_two_case(), st.booleans())
+def test_nearest_two_matches_reference_along_the_point_axis(case, one_point_blocks):
     # each (p, w) block takes its argmin and minima down axis 0; ties go to
     # the lowest position, and a single point's d2 is inf
     X, points = case
@@ -387,8 +390,8 @@ def test_nearest_two_matches_reference_along_the_point_axis(case, squared, one_p
     with pytest.MonkeyPatch.context() as mp:
         if one_point_blocks:  # every block holds one point of X
             mp.setattr(kmeans_module, "_BLOCK_BUDGET", PT.size)
-        got = kmeans_module._nearest_two(XT, PT, squared=squared)
-    want = medoid_reference._nearest_two(X, points, squared=squared)
+        got = kmeans_module._nearest_two(XT, PT)
+    want = medoid_reference._nearest_two(X, points)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     if len(points) == 1:

@@ -21,6 +21,7 @@ from gcluster import stats as stats_module
 from gcluster.dataset import Distribution, InstanceSpec, generate
 
 from conftest import tie_heavy_dataset
+import medoid_reference
 
 
 def search_record(ds, r2t):
@@ -98,6 +99,31 @@ def test_with_the_table_only_medoid_passes_compute_distances(monkeypatch):
     assert set(callers) == {"_nearest_two"}
 
 
+@settings(max_examples=40, deadline=None)
+@given(tie_heavy_dataset(min_n=2, max_n=30, m_range=(1, 4)), st.data())
+def test_one_reader_gives_each_point_column_as_a_row_with_the_same_bits(ds, data):
+    # the folds' opened column and the swap search's candidate and outgoing
+    # columns: a 1-D view of the table's row j, or a computed row, both with
+    # the bits of |x_i - x_j| on duplicate rows too
+    dup = data.draw(st.lists(st.integers(0, ds.n - 1), min_size=1, max_size=5))
+    ds = Dataset(np.concatenate([ds.values, ds.values[dup]]))
+    n = ds.n
+    opening = kmeans_module._GreedyOpening(ds)
+    assert isinstance(opening.points, kmeans_module._Table)
+    with pytest.MonkeyPatch.context() as mp:  # one float short of the table
+        mp.setattr(kmeans_module, "_BLOCK_BUDGET", n * n - 1)
+        XT = kmeans_module._GreedyOpening(ds).points
+    assert not isinstance(XT, kmeans_module._Table)
+    for j in range(n):
+        row = kmeans_module._distances(opening.points, slice(j, j + 1), slice(None))[0]
+        computed = kmeans_module._distances(XT, slice(j, j + 1), slice(None))[0]
+        assert row.shape == computed.shape == (n,)
+        assert np.shares_memory(row, opening.points.values)
+        assert row.tobytes() == computed.tobytes()
+        want = np.sqrt(stats_module.sq_distances(XT, XT[:, j : j + 1]))
+        assert computed.tobytes() == want.tobytes()
+
+
 def test_building_the_table_adds_only_the_table_and_one_chunk(monkeypatch):
     # the budget keeps the table but cuts the first pass into chunks of 66
     # columns; a table built in one shot would take an (m, n, n) temporary
@@ -125,18 +151,16 @@ def test_building_the_table_adds_only_the_table_and_one_chunk(monkeypatch):
 
 
 def lloyd_with_full_passes(ds, init):
-    """Lloyd as one full squared ``_nearest_two`` pass per iteration, its
-    nearest distances kept for the repair; also the repairs of each pass."""
+    """Lloyd as one full squared nearest-two pass per iteration (the
+    reference's, summed in the library's order), its nearest distances kept
+    for the repair; also the repairs of each pass."""
     k = init.k
-    XT = np.ascontiguousarray(ds.values.T)
     labels = init.assignment.copy()
     repairs = []
     for iterations in range(1, kmeans_module.MAX_LLOYD_ITERATIONS + 1):
         sizes = np.bincount(labels, minlength=k)[:, None]
         centroids = stats_module.group_sums(ds.values, labels, k) / sizes
-        new_labels, own_sq, _ = kmeans_module._nearest_two(
-            XT, np.ascontiguousarray(centroids.T), squared=True
-        )
+        new_labels, own_sq, _ = medoid_reference._nearest_two(ds.values, centroids, squared=True)
         new_sizes = np.bincount(new_labels, minlength=k)
         empty = np.flatnonzero(new_sizes == 0)
         repairs.append(len(empty))
