@@ -149,7 +149,7 @@ def _nearest_two(XT: np.ndarray, PT: np.ndarray):
         block = stats.sq_distances(PT[:, :, None], XT[:, None, lo:hi])
         np.sqrt(block, out=block)
         cols = np.arange(hi - lo)
-        bm = nearest[lo:hi] = np.argmin(block, axis=0)
+        bm = nearest[lo:hi] = block.argmin(axis=0)
         d1[lo:hi] = block[bm, cols]
         block[bm, cols] = np.inf  # a single point's d2 is then inf
         d2[lo:hi] = block.min(axis=0)
@@ -176,7 +176,7 @@ def _swap_nearest_two(
     :func:`stats.sq_distances` gives a pair the same bits whatever block it
     sits in, so the result equals a full recompute.
     """
-    redo = np.flatnonzero((nearest == pos) | (d_out <= d2))
+    redo = ((nearest == pos) | (d_out <= d2)).nonzero()[0]
     nearest = np.where((d_in < d1) | ((d_in == d1) & (pos < nearest)), pos, nearest)
     d2 = np.where(d_in <= d1, d1, np.minimum(d2, d_in))
     d1 = np.minimum(d1, d_in)
@@ -261,18 +261,18 @@ class _GreedyOpening:
             if self.medoids:
                 self._fold_in(self.medoids[-1])
             scores = self.scores
-            near = np.flatnonzero(scores <= scores.min() + self.tol)
-            chosen = int(near[np.argmin(_opening_costs(self.points, self.d, near))])
+            near = (scores <= scores.min() + self.tol).nonzero()[0]
+            chosen = int(near[_opening_costs(self.points, self.d, near).argmin()])
             # the window of opening p = len(self.medoids) + 1 (class docstring)
             rank = min(2 * len(self.medoids) + 3, n - len(self.medoids))
             edge = np.partition(scores, rank - 1)[rank - 1]
-            self.windows.append(np.flatnonzero(scores <= edge + self.tol))
+            self.windows.append((scores <= edge + self.tol).nonzero()[0])
             self.medoids.append(chosen)
 
     def _fold_in(self, opened: int) -> None:
         points, d, scores = self.points, self.d, self.scores
         d_new = np.minimum(d, _distances(points, slice(opened, opened + 1), slice(None))[0])
-        rows = np.flatnonzero(d_new < d)
+        rows = (d_new < d).nonzero()[0]
         scores[opened] = np.inf
         old, new = d[rows, None], d_new[rows, None]
         for lo, hi in _chunks(len(d), len(self.XT) * len(rows)):
@@ -379,7 +379,7 @@ def pmedian_local_search(
                     columns[cand] = dc
             m1 = np.minimum(d1, dc)
             trial = m1.sum() + np.bincount(nearest, np.minimum(d2, dc) - m1, minlength=p)
-            for pos in np.flatnonzero(trial < cost + 1e-9 * max(cost, 1.0)):
+            for pos in (trial < cost + 1e-9 * max(cost, 1.0)).nonzero()[0]:
                 fallback = np.where(nearest == pos, d2, d1)
                 if float(np.minimum(fallback, dc).sum()) < cost:
                     out = medoids[pos]
@@ -398,8 +398,9 @@ def pmedian_local_search(
     return MedoidSolution(medoids, _assign_to_medoids(medoids, nearest), list(sol.candidates))
 
 
-def kmeans(ds: Dataset, init: Partition) -> KmeansResult:
-    """Lloyd iterations from an initial partition; k is its group count.
+def kmeans(ds: Dataset, labels) -> KmeansResult:
+    """Lloyd iterations from the dense group ids ``labels``, one per element
+    (checked as :meth:`Partition.from_labels` checks them); k is their count.
 
     Points are reassigned to the nearest centroid (Euclidean; implemented
     as the argmin of squared distances, ties to the lowest group) until a
@@ -411,9 +412,9 @@ def kmeans(ds: Dataset, init: Partition) -> KmeansResult:
     computes those distances. No pass raises the SSE: a repair
     moves an element onto a group of its own.
     """
-    k = init.k
+    labels, sizes = stats.dense_labels(ds, labels)
+    k = len(sizes)
     XT = np.ascontiguousarray(ds.values.T)
-    labels, sizes = init.assignment, init.sizes
     converged = False
     iterations = 0
     for _ in range(MAX_LLOYD_ITERATIONS):
@@ -424,21 +425,19 @@ def kmeans(ds: Dataset, init: Partition) -> KmeansResult:
         new_labels = np.empty(ds.n, dtype=np.int64)
         for lo, hi in _chunks(ds.n, CT.size):
             block = stats.sq_distances(CT[:, :, None], XT[:, None, lo:hi])
-            new_labels[lo:hi] = np.argmin(block, axis=0)
+            new_labels[lo:hi] = block.argmin(axis=0)
         new_sizes = np.bincount(new_labels, minlength=k)
-        empty = np.flatnonzero(new_sizes == 0)
-        if len(empty):  # a pair has the same bits as in the block
+        if not new_sizes.all():  # a pair has the same bits as in the block
             own_sq = stats.sq_distances(XT, CT.take(new_labels, 1))
-        for q in empty:
-            movable = own_sq.copy()
-            movable[new_sizes[new_labels] < 2] = -np.inf
-            donor = int(np.argmax(movable))
-            new_sizes[new_labels[donor]] -= 1
-            new_labels[donor] = q
-            new_sizes[q] += 1
-            own_sq[donor] = 0.0  # now alone on its reseeded group
-
-        if np.array_equal(new_labels, labels):
+            for q in (new_sizes == 0).nonzero()[0]:
+                movable = own_sq.copy()
+                movable[new_sizes[new_labels] < 2] = -np.inf
+                donor = int(movable.argmax())
+                new_sizes[new_labels[donor]] -= 1
+                new_labels[donor] = q
+                new_sizes[q] += 1
+                own_sq[donor] = 0.0  # now alone on its reseeded group
+        if (new_labels == labels).all():
             converged = True
             break
         labels, sizes = new_labels, new_sizes
@@ -446,9 +445,10 @@ def kmeans(ds: Dataset, init: Partition) -> KmeansResult:
 
 
 def _probe(ds: Dataset, k: int, opening: _GreedyOpening) -> KmeansResult:
+    """Medoids from ``opening`` and the swap search, then Lloyd from their labels."""
     sol, nearest_pass = opening.solve(k)
     sol = pmedian_local_search(ds, sol, _pass=nearest_pass, _points=opening.points)
-    return kmeans(ds, Partition.from_labels(ds, sol.assignment))
+    return kmeans(ds, sol.assignment)
 
 
 def kmeans_gc(
@@ -471,7 +471,7 @@ def kmeans_gc(
     stats.check_threshold(r2t)
     stats.sst(ds)  # overflowing data: DataError here, before any distance
     a, b = 1, ds.n
-    best = Partition.singletons(ds)
+    best = None  # the singletons, built only if no probe is feasible
     opening = _GreedyOpening(ds)
     while b - a >= 2:
         # b stays n until a probe is feasible: double until then, then bisect
@@ -486,4 +486,4 @@ def kmeans_gc(
             best = result.partition
         else:
             a = c
-    return best
+    return Partition.singletons(ds) if best is None else best

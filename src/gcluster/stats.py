@@ -153,24 +153,8 @@ class Partition:
     @classmethod
     def from_labels(cls, ds: Dataset, labels) -> "Partition":
         """Build a partition (and its stats) from a dense integer label vector."""
-        raw = np.asarray(labels)
-        if raw.shape != (ds.n,):
-            raise ValueError(f"labels must have shape ({ds.n},), got {raw.shape}")
-        # checked before the cast, which warns on NaN, inf and out-of-range
-        # values; the bound is float64, as 2**63 overflows a float16
-        bound = np.float64(2.0**63)
-        if raw.dtype.kind not in "iu" and not (
-            raw.dtype.kind in "bf" and ((np.abs(raw) < bound) & (np.trunc(raw) == raw)).all()
-        ):
-            raise ValueError("labels must be integers")
-        labels = raw.astype(np.int64, copy=False)
-        if labels.min() < 0:
-            raise ValueError("labels must be non-negative")
-        k = int(labels.max()) + 1
-        # k > n leaves a group empty: said before bincount allocates k slots
-        if k > ds.n or not (sizes := np.bincount(labels, minlength=k)).all():
-            raise ValueError("group ids must be dense 0..k-1 with no empty group")
-        sums = group_sums(ds.values, labels, k)
+        labels, sizes = dense_labels(ds, labels)
+        sums = group_sums(ds.values, labels, len(sizes))
         ssb = _ssb_scratch(ds, sizes, sums)
         return cls(labels.copy(), sizes.astype(np.int64), sums, ssb)
 
@@ -202,13 +186,39 @@ class Partition:
             )
 
 
+def dense_labels(ds: Dataset, labels) -> tuple[np.ndarray, np.ndarray]:
+    """``labels`` as int64 (no copy if it is) and its group sizes; ValueError unless
+    it holds one integer per element and the ids are dense 0..k-1, none empty."""
+    raw = np.asarray(labels)
+    if raw.shape != (ds.n,):
+        raise ValueError(f"labels must have shape ({ds.n},), got {raw.shape}")
+    # checked before the cast, which warns on NaN, inf and out-of-range
+    # values; the bound is float64, as 2**63 overflows a float16
+    bound = np.float64(2.0**63)
+    if raw.dtype.kind not in "iu" and not (
+        raw.dtype.kind in "bf" and ((np.abs(raw) < bound) & (np.trunc(raw) == raw)).all()
+    ):
+        raise ValueError("labels must be integers")
+    labels = raw.astype(np.int64, copy=False)
+    if labels.min() < 0:
+        raise ValueError("labels must be non-negative")
+    k = int(labels.max()) + 1
+    # k > n leaves a group empty: said before bincount allocates k slots
+    if k > ds.n or not (sizes := np.bincount(labels, minlength=k)).all():
+        raise ValueError("group ids must be dense 0..k-1 with no empty group")
+    return labels, sizes
+
+
 def group_sums(values: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Per-group column sums, shape (k, m), by one ``np.bincount`` per column.
     Rows are added in ascending order, as ``np.add.at`` adds them, so the bits
     are the same, and the same in either memory layout of ``values``; the
     column-major one that :func:`dataset.standardize` returns reads each
     column contiguously."""
-    return np.stack([np.bincount(labels, col, k) for col in values.T], axis=1)
+    sums = np.empty((k, values.shape[1]))
+    for j, col in enumerate(values.T):
+        sums[:, j] = np.bincount(labels, col, k)
+    return sums
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -147,7 +148,7 @@ def test_kmeans_hand_example():
     ds = three_point_line()
     sol = pmedian_local_search(ds, pmedian_greedy(ds, 2))
     init = Partition.from_labels(ds, sol.assignment)
-    res = kmeans(ds, init)
+    res = kmeans(ds, init.assignment)
     assert res.converged
     assert res.partition.assignment[0] == res.partition.assignment[1]
     assert evaluate(ds, res.partition).ssw == 0.0
@@ -155,8 +156,8 @@ def test_kmeans_hand_example():
 
 def test_kmeans_fixed_point():
     ds = generate(InstanceSpec(Distribution.NORMAL01, 30, 2, 9))
-    first = kmeans(ds, Partition.from_labels(ds, np.arange(30) % 4))
-    again = kmeans(ds, first.partition)
+    first = kmeans(ds, np.arange(30) % 4)
+    again = kmeans(ds, first.partition.assignment)
     assert again.converged and again.iterations == 1
     assert np.array_equal(again.partition.assignment, first.partition.assignment)
 
@@ -171,7 +172,7 @@ def test_kmeans_sse_non_increasing(ds, k):
     with pytest.MonkeyPatch.context() as mp:
         for cap in range(1, 8):  # the partition after each of the first 7 passes
             mp.setattr(kmeans_module, "MAX_LLOYD_ITERATIONS", cap)
-            seen.append(evaluate(ds, kmeans(ds, init).partition).ssw)
+            seen.append(evaluate(ds, kmeans(ds, init.assignment).partition).ssw)
     assert all(a >= b - 1e-9 for a, b in zip(seen, seen[1:]))
 
 
@@ -179,7 +180,7 @@ def test_kmeans_empty_cluster_repair_keeps_k():
     # symmetric init: both centroids coincide, so one cluster would empty
     ds = Dataset(np.array([[0.0], [1.0], [2.0], [3.0]]))
     init = Partition.from_labels(ds, [0, 1, 1, 0])
-    res = kmeans(ds, init)
+    res = kmeans(ds, init.assignment)
     assert res.partition.k == 2
     assert (res.partition.sizes >= 1).all()
 
@@ -473,7 +474,7 @@ def reference_probes(ds, r2t):
     while b - a >= 2:
         c = next_k(a, b, ds.n)
         sol = pmedian_local_search_scan(ds, pmedian_greedy_scan(ds, c))
-        res = kmeans(ds, Partition.from_labels(ds, sol.assignment))
+        res = kmeans(ds, sol.assignment)
         r2c = res.partition.ssb / total
         probes.append((c, r2c, res.converged))
         a, b = (a, c) if r2c >= r2t - 1e-12 else (c, b)
@@ -528,6 +529,57 @@ def test_kmeans_gc_probe_order_is_pinned(budget):
     # opening is confirmed, and each probe ranks its swap candidates, from a
     # screened window, whatever the budget
     assert widths.count(ds.n) == 1
+
+
+def search_digest():
+    """sha256 of kmeans_gc's outputs on a small grid: every probe's k, R^2
+    bits and converged flag, then the returned partition's SSB bits and
+    assignment bytes."""
+    digest = hashlib.sha256()
+    for n, m, seed in itertools.product((60, 150, 400), (2, 5), range(3)):
+        ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, n, m, seed)))
+        for r2t in (0.6, 0.8):
+            probes = []
+            p = kmeans_gc(ds, r2t, on_probe=probes.append)
+            for probe in probes:
+                digest.update(struct.pack("<qd?", probe.k, probe.r2, probe.converged))
+            digest.update(struct.pack("<d", p.ssb))
+            digest.update(p.assignment.astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
+def test_kmeans_gc_outputs_keep_their_bits():
+    """A speed-up of the k-means search must leave every output bit alone.
+
+    Only a change that CHANGES.md names as a round-off behaviour change may
+    regenerate the digest, with this one-liner run from the repository root:
+    ``cd tests && PYTHONPATH=../src python -c "from test_kmeans import
+    search_digest; print(search_digest())"``.
+    """
+    assert search_digest() == "0dc7e5927b67daed03479374ac06131babb624b64e7bb499fd4d105ffad9e512"
+
+
+def test_kmeans_gc_builds_one_partition_per_probe(monkeypatch):
+    # the benchmark's kmeans-bisect instance: each probe builds only the
+    # partition Lloyd returns, and the singletons only if none is feasible
+    ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 400, 3, 1)))
+    from_labels, calls = Partition.from_labels, []
+
+    def counting(ds, labels):
+        calls.append(len(labels))
+        return from_labels(ds, labels)
+
+    monkeypatch.setattr(Partition, "from_labels", counting)
+    probes = []
+    kmeans_gc(ds, 0.6, on_probe=probes.append)
+    assert len(probes) == 5
+    assert len(calls) == 5
+    # no probe feasible: the singletons come last, once
+    line = Dataset(np.array([[0.0], [1.0], [2.0], [3.0]]))
+    probes, calls[:] = [], []
+    assert kmeans_gc(line, 0.999999, on_probe=probes.append).k == line.n
+    assert not any(probe.feasible for probe in probes)
+    assert calls == [line.n] * (len(probes) + 1)
 
 
 def plain_bisection(ds, r2t):

@@ -204,7 +204,7 @@ def test_lloyd_repairs_like_a_full_nearest_two_pass(case):
         ds, labels = two_mirrored_pairs(int(case.split()[-1]))
         most = 2
     init = Partition.from_labels(ds, labels)
-    got = kmeans_module.kmeans(ds, init)
+    got = kmeans_module.kmeans(ds, init.assignment)
     labels, converged, iterations, repairs = lloyd_with_full_passes(ds, init)
     assert max(repairs) == most  # the case repairs as often in one pass as meant
     assert got.partition.assignment.tobytes() == labels.tobytes()
@@ -219,7 +219,7 @@ def test_lloyd_matches_full_nearest_two_passes(ds, seed):
     k = int(rng.integers(1, ds.n + 1))
     labels = np.concatenate([np.arange(k), rng.integers(0, k, size=ds.n - k)])
     init = Partition.from_labels(ds, rng.permutation(labels))
-    got = kmeans_module.kmeans(ds, init)
+    got = kmeans_module.kmeans(ds, init.assignment)
     labels, converged, iterations, _ = lloyd_with_full_passes(ds, init)
     assert got.partition.assignment.tobytes() == labels.tobytes()
     assert (got.converged, got.iterations) == (converged, iterations)

@@ -34,6 +34,7 @@ def test_tracer_binds_every_site(monkeypatch):
             bench.run_algorithm(ds, algo, 0.7, VnsConfig(r_max=5, seed=1))
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["kmeans.probes"] > 0
+    assert metrics["kmeans.lloyd_passes"] > 0
     assert metrics["vns.iterations"] > 0
 
 

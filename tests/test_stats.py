@@ -21,6 +21,7 @@ from gcluster import (
     standardize,
     wards_gc,
 )
+from gcluster import kmeans as kmeans_module
 from gcluster.dataset import Distribution, InstanceSpec
 from gcluster.errors import DataError
 from gcluster.stats import check_threshold, group_sums, merge_drop, sq_distances
@@ -89,7 +90,7 @@ def test_evaluate_extremes():
     assert abs(evaluate(ds, Partition.from_labels(ds, np.zeros(ds.n))).r2) <= 1e-12
 
 
-@pytest.mark.parametrize(
+BAD_LABELS = pytest.mark.parametrize(
     "labels, match",
     [
         ([0, 1], "shape"),
@@ -116,9 +117,18 @@ def test_evaluate_extremes():
         "label-past-n",
     ],
 )
+
+
+@BAD_LABELS
 def test_from_labels_rejects_bad_labels(labels, match):
     with pytest.raises(ValueError, match=match):
         Partition.from_labels(three_point_line(), labels)
+
+
+@BAD_LABELS
+def test_lloyd_refuses_the_labels_from_labels_refuses(labels, match):
+    with pytest.raises(ValueError, match=match):
+        kmeans_module.kmeans(three_point_line(), labels)
 
 
 def test_from_labels_refuses_a_stray_label_before_allocating_for_it():
