@@ -29,10 +29,11 @@ sums round differently from the plain ones, so they only screen: whatever
 they place within 1e-9 (relative) of the best is re-costed with the plain
 sum, and the plain rule picks among those.
 
-A search computes each point-to-point distance once when its n x n
-:class:`_Table` fits ``_BLOCK_BUDGET``. Only the passes against the medoids
-(:func:`_nearest_two`) and Lloyd's passes against the centroids compute
-theirs; for a larger n every stage does.
+A search reads every point-to-point distance through one :class:`_Points`,
+which computes each of them once into an n x n table when that fits
+``_BLOCK_BUDGET``: the opening, the passes against the medoids
+(:func:`_nearest_two`) and the swap search then only read. Lloyd's passes
+against the centroids compute theirs; for a larger n every stage does.
 
 Everything here is deterministic: no randomness, ties broken by lowest index.
 Each block of distances holds at most ``_BLOCK_BUDGET`` floats, or one point's
@@ -43,7 +44,7 @@ of a standardized dataset's column-major values, else a copy made once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -67,6 +68,9 @@ class MedoidSolution:
     medoids: list[int]
     assignment: np.ndarray
     candidates: list[int]
+    # set by _GreedyOpening.solve for the swap search (see pmedian_local_search)
+    _points: _Points | None = field(default=None, init=False, repr=False, compare=False)
+    _pass: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -92,72 +96,77 @@ def _chunks(count: int, per_item: int):
         yield lo, min(count, lo + step)
 
 
-class _Table:
-    """The Euclidean distances between the n points of the attribute-major
-    XT, kept as one n x n matrix when n * n <= ``_BLOCK_BUDGET``: n <= 2048,
-    8 n^2 bytes, at most 32 MiB. It is filled in the column chunks the
-    opening's first pass takes, so it adds no temporary larger than one of
-    that pass's. That pass, the folds, the exact opening costs and the swap
-    search's columns read their blocks from it (see :func:`_distances`), in
-    chunks as wide as XT's computed ones, so it keeps XT too."""
+class _Points:
+    """The n points of one search: the attribute-major (m, n) XT, and their
+    n x n Euclidean distances as ``table`` when n * n <= ``_BLOCK_BUDGET``
+    (n <= 2048, 8 n^2 bytes, at most 32 MiB), else None. The table is filled
+    in the column chunks the opening's first pass takes, so it adds no
+    temporary larger than one of that pass's.
 
-    __slots__ = ("XT", "values")
+    :meth:`distances` is the one reader of distances between data points
+    here: the opening, the nearest-two passes and the swap search take
+    every block from it, in chunks as wide as computed ones."""
 
-    def __init__(self, XT: np.ndarray):
-        n = XT.shape[1]
-        self.XT = XT
-        self.values = np.empty((n, n))
-        for lo, hi in _chunks(n, XT.size):
-            squares = stats.sq_distances(XT[:, :, None], XT[:, None, lo:hi])
-            np.sqrt(squares, out=self.values[:, lo:hi])
-            del squares  # before the next chunk's
+    __slots__ = ("XT", "table")
 
+    def __init__(self, ds: Dataset):
+        self.XT = XT = np.ascontiguousarray(ds.values.T)
+        self.table = None
+        if ds.n * ds.n <= _BLOCK_BUDGET:
+            self.table = np.empty((ds.n, ds.n))
+            for lo, hi in _chunks(ds.n, XT.size):
+                squares = stats.sq_distances(XT[:, :, None], XT[:, None, lo:hi])
+                np.sqrt(squares, out=self.table[:, lo:hi])
+                del squares  # before the next chunk's
 
-def _distances(points: np.ndarray | _Table, rows, cols) -> np.ndarray:
-    """Euclidean distances (len(rows), len(cols)) between the points ``rows``
-    and ``cols``, each a slice or an index array: the one reader of distances
-    between data points here. ``points`` is the attribute-major XT, whose
-    distances are computed, or its :class:`_Table`, whose distances are read:
-    as a view of the table when both are slices, else as a new array.
-    :func:`stats.sq_distances` and the square root work element by element,
-    so a pair has the same bits computed or read, and from either end. An
-    index array is gathered with ``take``: fancy indexing along axis 1 would
-    put the gathered axis first in memory, and the blocks would be slower to
-    compute."""
-    if isinstance(points, _Table):
+    def distances(self, rows, cols) -> np.ndarray:
+        """Euclidean distances (len(rows), len(cols)) between the points
+        ``rows`` and ``cols``, each a slice or an index array, read from the
+        table or else computed: a view of the table when both are slices,
+        else a new C-order array. :func:`stats.sq_distances` and the square
+        root work element by element, so a pair has the same bits computed
+        or read, and from either end. An index array along axis 1 is
+        gathered with ``take``: fancy indexing would put the gathered axis
+        first in memory, and a sum down axis 0 would then round pairwise.
+        Two index arrays gather exactly their len(rows) x len(cols) block."""
+        table = self.table
+        if table is None:
+            XT = self.XT
+            a, b = (XT[:, i] if isinstance(i, slice) else XT.take(i, 1) for i in (rows, cols))
+            # a new array, so the (m, ...) squares are freed before the caller's next one
+            return np.sqrt(stats.sq_distances(a[:, :, None], b[:, None, :]))
         if isinstance(cols, slice):
-            return points.values[rows, cols]
-        return points.values[rows].take(cols, 1)
-    a, b = (points[:, i] if isinstance(i, slice) else points.take(i, 1) for i in (rows, cols))
-    return np.sqrt(stats.sq_distances(a[:, :, None], b[:, None, :]))
+            return table[rows, cols]
+        if isinstance(rows, slice):
+            return table[rows].take(cols, 1)
+        return table[np.ix_(rows, cols)]
 
 
-def _nearest_two(XT: np.ndarray, PT: np.ndarray):
-    """Nearest and second-nearest of the points PT for every point of XT, both
-    attribute-major: (m, n) and (m, p).
+def _nearest_two(points: _Points, medoids: list[int], rows: np.ndarray | None = None):
+    """Nearest and second-nearest of the ``medoids`` for every point of
+    ``rows`` (all n when None), both indices into ``points``.
 
-    Returns (nearest_index, nearest_dist, second_dist), Euclidean;
-    second_dist is +inf when there is a single point. Ties resolve to the
-    lowest index. XT is taken w points at a time, as a (p, w) block against
-    PT with argmin down axis 0.
+    Returns (nearest_index, nearest_dist, second_dist), Euclidean, with
+    nearest_index a position in ``medoids``; second_dist is +inf when there
+    is a single medoid. Ties resolve to the lowest position. The rows are
+    taken w at a time, as a (p, w) block with argmin down axis 0.
     """
-    n = XT.shape[1]
+    n = points.XT.shape[1] if rows is None else len(rows)
     nearest = np.empty(n, dtype=np.int64)
     d1 = np.empty(n)
     d2 = np.empty(n)
-    for lo, hi in _chunks(n, PT.size):
-        block = stats.sq_distances(PT[:, :, None], XT[:, None, lo:hi])
-        np.sqrt(block, out=block)
+    for lo, hi in _chunks(n, len(points.XT) * len(medoids)):
+        block = points.distances(medoids, slice(lo, hi) if rows is None else rows[lo:hi])
         cols = np.arange(hi - lo)
         bm = nearest[lo:hi] = block.argmin(axis=0)
         d1[lo:hi] = block[bm, cols]
-        block[bm, cols] = np.inf  # a single point's d2 is then inf
+        block[bm, cols] = np.inf  # a single medoid's d2 is then inf
         d2[lo:hi] = block.min(axis=0)
     return nearest, d1, d2
 
 
 def _swap_nearest_two(
-    XT: np.ndarray,
+    points: _Points,
     medoids: list[int],
     pos: int,
     d_out: np.ndarray,
@@ -166,21 +175,21 @@ def _swap_nearest_two(
     d1: np.ndarray,
     d2: np.ndarray,
 ):
-    """:func:`_nearest_two` of the ``medoids`` of XT after ``medoids[pos]`` was
+    """:func:`_nearest_two` of the ``medoids`` after ``medoids[pos]`` was
     replaced; ``d_out`` and ``d_in`` are the distances to the medoid that
-    left and the one that came in.
+    left and the one that came in. The arrays passed in are not modified.
 
     Only rows whose nearest medoid left, or whose second-nearest may have,
     are recomputed. The rest keep their two nearest and compare the
     newcomer, which wins a tie for nearest when its position is lower.
-    :func:`stats.sq_distances` gives a pair the same bits whatever block it
-    sits in, so the result equals a full recompute.
+    A pair has the same bits whatever block it is read or computed in, so
+    the result equals a full recompute.
     """
     redo = ((nearest == pos) | (d_out <= d2)).nonzero()[0]
     nearest = np.where((d_in < d1) | ((d_in == d1) & (pos < nearest)), pos, nearest)
     d2 = np.where(d_in <= d1, d1, np.minimum(d2, d_in))
     d1 = np.minimum(d1, d_in)
-    nearest[redo], d1[redo], d2[redo] = _nearest_two(XT.take(redo, 1), XT.take(medoids, 1))
+    nearest[redo], d1[redo], d2[redo] = _nearest_two(points, medoids, redo)
     return nearest, d1, d2
 
 
@@ -192,20 +201,16 @@ def _assign_to_medoids(medoids: list[int], nearest: np.ndarray) -> np.ndarray:
     return assignment
 
 
-def _opening_costs(
-    points: np.ndarray | _Table, d: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
+def _opening_costs(points: _Points, d: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Cost sum_i min(d_i, |x_i - x_j|) of opening each column j of ``cols``,
     summed row by row whichever columns share its block: numpy sums an (n, w)
     block down axis 0 row by row for w >= 2 but a lone column pairwise, so a
-    one-column block is padded with a copy of its column. ``points`` is as
-    in :func:`_distances`; a table's blocks are as wide as computed ones.
+    one-column block is padded with a copy of its column.
     """
-    XT = points.XT if isinstance(points, _Table) else points
     out = np.empty(len(cols))
-    for lo, hi in _chunks(len(cols), XT.size):
+    for lo, hi in _chunks(len(cols), points.XT.size):
         sel = cols[lo:hi] if hi - lo > 1 else np.repeat(cols[lo:hi], 2)
-        block = _distances(points, slice(None), sel)
+        block = points.distances(slice(None), sel)
         out[lo:hi] = np.minimum(d[:, None], block).sum(axis=0)[: hi - lo]
     return out
 
@@ -217,9 +222,9 @@ class _GreedyOpening:
     The first medoid minimizes the summed distance to all elements; each later
     one is the element whose opening gives the largest cost reduction.
     Construction costs each column j exactly, S_j = sum_i b_ij with b_ij =
-    |x_i - x_j|, read from the search's :class:`_Table` when n * n fits
-    ``_BLOCK_BUDGET``, as every later b_ij then is. The costs are then
-    updated, not recomputed: a fold subtracts sum_i [min(d_i, b_ij) -
+    |x_i - x_j|, read through the search's :class:`_Points` like every later
+    b_ij: from its table when n * n fits ``_BLOCK_BUDGET``. The costs are
+    then updated, not recomputed: a fold subtracts sum_i [min(d_i, b_ij) -
     min(d'_i, b_ij)] over the rows whose distance to the nearest medoid
     dropped from d to d' (every row on the first fold, from d = inf). These
     running costs only screen: every opening, the first included, costs
@@ -246,8 +251,7 @@ class _GreedyOpening:
     """
 
     def __init__(self, ds: Dataset):
-        self.XT = np.ascontiguousarray(ds.values.T)
-        self.points = _Table(self.XT) if ds.n * ds.n <= _BLOCK_BUDGET else self.XT
+        self.points = _Points(ds)
         self.medoids: list[int] = []
         self.d = np.full(ds.n, np.inf)
         self.scores = _opening_costs(self.points, self.d, np.arange(ds.n))  # running costs
@@ -256,7 +260,7 @@ class _GreedyOpening:
 
     def extend(self, p: int) -> None:
         """Open medoids until ``p`` are open."""
-        n = self.XT.shape[1]
+        n = len(self.d)
         while len(self.medoids) < p:
             if self.medoids:
                 self._fold_in(self.medoids[-1])
@@ -271,24 +275,24 @@ class _GreedyOpening:
 
     def _fold_in(self, opened: int) -> None:
         points, d, scores = self.points, self.d, self.scores
-        d_new = np.minimum(d, _distances(points, slice(opened, opened + 1), slice(None))[0])
+        d_new = np.minimum(d, points.distances(slice(opened, opened + 1), slice(None))[0])
         rows = (d_new < d).nonzero()[0]
         scores[opened] = np.inf
         old, new = d[rows, None], d_new[rows, None]
-        for lo, hi in _chunks(len(d), len(self.XT) * len(rows)):
-            block = _distances(points, rows, slice(lo, hi))
+        for lo, hi in _chunks(len(d), len(points.XT) * len(rows)):
+            block = points.distances(rows, slice(lo, hi))
             gain = np.minimum(old, block)
             gain -= np.minimum(new, block, out=block)
             scores[lo:hi] -= gain.sum(axis=0)
         self.d = d_new
 
-    def solve(self, p: int) -> tuple[MedoidSolution, tuple[np.ndarray, ...]]:
+    def solve(self, p: int) -> MedoidSolution:
         """The greedy p-median solution: the first p openings, and as swap
         candidates the 2p runners-up in the exact order of opening costs
         over the first p - 1 medoids (the pass that opened the p-th, in a
-        loop that stops at p), ties to the lowest index. Also returns the
-        (nearest, d1, d2) pass over its medoids that it was assigned from,
-        which a probe hands on to :func:`pmedian_local_search`.
+        loop that stops at p), ties to the lowest index. The solution also
+        carries the search's points and the (nearest, d1, d2) pass over its
+        medoids that it was assigned from, for :func:`pmedian_local_search`.
 
         Only the p-th opening's window is costed exactly. A running score
         is within tol / 2 of the exact cost (the bound the opening's own
@@ -303,19 +307,20 @@ class _GreedyOpening:
         is exact and a pair's distance has the same bits in any block, so
         this is the ``d`` the p-th opening was chosen against, bit for bit.
         """
-        XT, n = self.XT, self.XT.shape[1]
+        n = len(self.d)
         if not 1 <= p <= n:
             raise ValueError(f"medoid count must be in 1..{n}, got {p}")
         self.extend(p)
         medoids = self.medoids[:p]
-        nearest, d1, d2 = _nearest_two(XT, XT.take(medoids, 1))
+        nearest, d1, d2 = _nearest_two(self.points, medoids)
         d = np.where(nearest == p - 1, d2, d1)  # the fold extend() made
         window = self.windows[p - 1]
         order = window[np.argsort(_opening_costs(self.points, d, window), kind="stable")]
         taken = set(medoids)
         candidates = [int(i) for i in order if int(i) not in taken][: 2 * p]
         sol = MedoidSolution(medoids, _assign_to_medoids(medoids, nearest), candidates)
-        return sol, (nearest, d1, d2)
+        sol._points, sol._pass = self.points, (nearest, d1, d2)
+        return sol
 
 
 def pmedian_greedy(ds: Dataset, p: int) -> MedoidSolution:
@@ -328,16 +333,11 @@ def pmedian_greedy(ds: Dataset, p: int) -> MedoidSolution:
     :func:`kmeans_gc` does not call this function: it builds the sequence
     once and takes every probe's prefix from it.
     """
-    return _GreedyOpening(ds).solve(p)[0]
+    # replace() drops the search's points and pass, which only a probe reads
+    return replace(_GreedyOpening(ds).solve(p))
 
 
-def pmedian_local_search(
-    ds: Dataset,
-    sol: MedoidSolution,
-    *,
-    _pass: tuple[np.ndarray, ...] | None = None,
-    _points: np.ndarray | _Table | None = None,
-) -> MedoidSolution:
+def pmedian_local_search(ds: Dataset, sol: MedoidSolution) -> MedoidSolution:
     """Improve the medoid set by single swaps with the recorded candidates.
 
     First-improvement scan: replace one medoid by one candidate whenever the
@@ -352,18 +352,16 @@ def pmedian_local_search(
     and the first strictly cheaper one is taken. After a swap only the rows
     that may have lost their nearest or second-nearest medoid are
     reassigned from scratch; the result is assigned from the kept arrays.
-    When no swap helps, ``sol`` itself is returned. ``_pass``, for a probe,
-    is the :func:`_nearest_two` pass over ``sol``'s medoids that built it
-    (not modified); without it the search makes that pass itself.
-    ``_points``, for a probe, is the opening's distance source, so the
-    candidate and outgoing columns are read from its :class:`_Table` when
-    it has one; without it they are computed.
+    When no swap helps, ``sol`` itself is returned. A solution from
+    :meth:`_GreedyOpening.solve` carries the search's :class:`_Points` and the
+    :func:`_nearest_two` pass over its medoids that assigned it (not
+    modified), and the search starts from those; for any other solution it
+    makes both itself.
     """
-    XT = np.ascontiguousarray(ds.values.T)
-    points = XT if _points is None else _points
+    points = _Points(ds) if sol._points is None else sol._points
     medoids = list(sol.medoids)
     p = len(medoids)
-    nearest, d1, d2 = _nearest_two(XT, XT.take(medoids, 1)) if _pass is None else _pass
+    nearest, d1, d2 = _nearest_two(points, medoids) if sol._pass is None else sol._pass
     cost = float(d1.sum())
     columns: dict[int, np.ndarray] = {}
     improved = True
@@ -374,7 +372,7 @@ def pmedian_local_search(
                 continue
             dc = columns.get(cand)
             if dc is None:
-                dc = _distances(points, slice(cand, cand + 1), slice(None))[0]
+                dc = points.distances(slice(cand, cand + 1), slice(None))[0]
                 if (len(columns) + 1) * len(dc) <= _BLOCK_BUDGET:
                     columns[cand] = dc
             m1 = np.minimum(d1, dc)
@@ -383,10 +381,10 @@ def pmedian_local_search(
                 fallback = np.where(nearest == pos, d2, d1)
                 if float(np.minimum(fallback, dc).sum()) < cost:
                     out = medoids[pos]
-                    d_out = _distances(points, slice(out, out + 1), slice(None))[0]
+                    d_out = points.distances(slice(out, out + 1), slice(None))[0]
                     medoids[pos] = cand
                     nearest, d1, d2 = _swap_nearest_two(
-                        XT, medoids, pos, d_out, dc, nearest, d1, d2
+                        points, medoids, pos, d_out, dc, nearest, d1, d2
                     )
                     cost = float(d1.sum())
                     improved = True
@@ -410,7 +408,8 @@ def kmeans(ds: Dataset, labels) -> KmeansResult:
     repaired by reseeding the group with the element farthest from its own
     centroid, so the result always has k non-empty groups; only such a pass
     computes those distances. No pass raises the SSE: a repair
-    moves an element onto a group of its own.
+    moves an element onto a group of its own. The result is built from the
+    last pass's labels and sizes, which are Lloyd's own arrays.
     """
     labels, sizes = stats.dense_labels(ds, labels)
     k = len(sizes)
@@ -441,14 +440,12 @@ def kmeans(ds: Dataset, labels) -> KmeansResult:
             converged = True
             break
         labels, sizes = new_labels, new_sizes
-    return KmeansResult(Partition.from_labels(ds, labels), converged, iterations)
+    return KmeansResult(Partition._from_dense(ds, new_labels, new_sizes), converged, iterations)
 
 
 def _probe(ds: Dataset, k: int, opening: _GreedyOpening) -> KmeansResult:
     """Medoids from ``opening`` and the swap search, then Lloyd from their labels."""
-    sol, nearest_pass = opening.solve(k)
-    sol = pmedian_local_search(ds, sol, _pass=nearest_pass, _points=opening.points)
-    return kmeans(ds, sol.assignment)
+    return kmeans(ds, pmedian_local_search(ds, opening.solve(k)).assignment)
 
 
 def kmeans_gc(

@@ -154,9 +154,14 @@ class Partition:
     def from_labels(cls, ds: Dataset, labels) -> "Partition":
         """Build a partition (and its stats) from a dense integer label vector."""
         labels, sizes = dense_labels(ds, labels)
+        return cls._from_dense(ds, labels.copy(), sizes.astype(np.int64))
+
+    @classmethod
+    def _from_dense(cls, ds: Dataset, labels: np.ndarray, sizes: np.ndarray) -> "Partition":
+        """The partition of labels that :func:`dense_labels` accepts, as int64
+        with their int64 group sizes; it owns both arrays, unchecked."""
         sums = group_sums(ds.values, labels, len(sizes))
-        ssb = _ssb_scratch(ds, sizes, sums)
-        return cls(labels.copy(), sizes.astype(np.int64), sums, ssb)
+        return cls(labels, sizes, sums, _ssb_scratch(ds, sizes, sums))
 
     @classmethod
     def singletons(cls, ds: Dataset) -> "Partition":

@@ -38,22 +38,28 @@ def random_partition(rng, ds, max_k=None):
     return Partition.from_labels(ds, densify(labels))
 
 
-@st.composite
-def tie_heavy_dataset(draw, min_n=4, max_n=24, m_range=(1, 3)):
+TIE_KINDS = ("duplicates", "grid", "rounded")
+
+
+def tie_heavy_values(rng, n, m, kind):
     """Duplicate rows, small-integer grid points or normal values rounded to
     0.1: many exactly equal distances and merge deltas, so tie-breaks decide
     the solvers' choices."""
+    if kind == "duplicates":
+        distinct = rng.normal(size=(max(2, n // 3), m))
+        return distinct[rng.integers(0, len(distinct), size=n)]
+    if kind == "grid":
+        return rng.integers(0, 4, size=(n, m)).astype(np.float64)
+    return np.round(rng.normal(size=(n, m)), 1)
+
+
+@st.composite
+def tie_heavy_dataset(draw, min_n=4, max_n=24, m_range=(1, 3)):
+    """A dataset of :func:`tie_heavy_values`, not constant."""
     n = draw(st.integers(min_n, max_n))
     m = draw(st.integers(*m_range))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["duplicates", "grid", "rounded"]))
-    if kind == "duplicates":
-        distinct = rng.normal(size=(max(2, n // 3), m))
-        values = distinct[rng.integers(0, len(distinct), size=n)]
-    elif kind == "grid":
-        values = rng.integers(0, 4, size=(n, m)).astype(np.float64)
-    else:
-        values = np.round(rng.normal(size=(n, m)), 1)
+    values = tie_heavy_values(rng, n, m, draw(st.sampled_from(TIE_KINDS)))
     assume(np.ptp(values, axis=0).max() > 0)
     return Dataset(values)
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -111,14 +112,14 @@ def test_probe_without_a_swap_makes_one_nearest_medoid_pass(monkeypatch):
     calls = []
     nearest_two = kmeans_module._nearest_two
 
-    def counting(XT, PT):
-        if XT.shape[1] == ds.n:
-            calls.append(PT.shape[1])
-        return nearest_two(XT, PT)
+    def counting(points, medoids, rows=None):
+        if rows is None:  # a pass over all n rows
+            calls.append(len(medoids))
+        return nearest_two(points, medoids, rows)
 
     monkeypatch.setattr(kmeans_module, "_nearest_two", counting)
     opening = kmeans_module._GreedyOpening(ds)
-    sol = opening.solve(2)[0]
+    sol = opening.solve(2)
     assert pmedian_local_search(ds, sol) is sol  # the probe takes no swap
     calls.clear()
     kmeans_module._probe(ds, 2, opening)
@@ -127,7 +128,7 @@ def test_probe_without_a_swap_makes_one_nearest_medoid_pass(monkeypatch):
 
 def test_greedy_opening_reads_the_standardized_columns_without_a_copy():
     ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 60, 3, 2)))
-    assert np.shares_memory(kmeans_module._GreedyOpening(ds).XT, ds.values)
+    assert np.shares_memory(kmeans_module._GreedyOpening(ds).points.XT, ds.values)
 
 
 def test_local_search_beats_greedy_and_respects_optimum():
@@ -292,15 +293,27 @@ def test_lone_confirm_column_is_summed_like_the_full_pass(monkeypatch):
     confirm_sizes = []
     opening_costs = kmeans_module._opening_costs
 
-    def recording(XT, d, cols):
-        if len(cols) < XT.shape[1]:
+    def recording(points, d, cols):
+        if len(cols) < points.XT.shape[1]:
             confirm_sizes.append(len(cols))
-        return opening_costs(XT, d, cols)
+        return opening_costs(points, d, cols)
 
     monkeypatch.setattr(kmeans_module, "_opening_costs", recording)
     for p in (15, 30, 59):
         assert_medoid_stages_match_scan(ds, p)
     assert 1 in confirm_sizes
+
+
+def points_of(values, table=True):
+    """The search's points over the rows of ``values`` (any n >= 1), with
+    their distance table or, one float short of its budget, without."""
+    n = len(values)
+    with pytest.MonkeyPatch.context() as mp:
+        if not table:
+            mp.setattr(kmeans_module, "_BLOCK_BUDGET", n * n - 1)
+        points = kmeans_module._Points(SimpleNamespace(n=n, values=values))
+    assert (points.table is not None) == table
+    return points
 
 
 @st.composite
@@ -328,16 +341,18 @@ def opening_cost_case(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(opening_cost_case())
-def test_opening_costs_are_running_sums(case):
+@given(opening_cost_case(), st.booleans())
+def test_opening_costs_are_running_sums(case, table):
     # each cost is its column's sum taken one row at a time, whichever
-    # columns share its block; a one-column block must not sum pairwise
+    # columns share its block, read or computed; a one-column block must
+    # not sum pairwise
     values, d, cols, budget = case
     XT = np.ascontiguousarray(values.T)
+    points = points_of(values, table)
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:
             mp.setattr(kmeans_module, "_BLOCK_BUDGET", budget)
-        got = kmeans_module._opening_costs(XT, d, cols)
+        got = kmeans_module._opening_costs(points, d, cols)
     expect = []
     for j in cols.tolist():
         total = 0.0
@@ -348,28 +363,31 @@ def test_opening_costs_are_running_sums(case):
 
 
 @settings(max_examples=80, deadline=None)
-@given(tie_heavy_dataset(min_n=3, max_n=30), st.integers(0, 2**32 - 1))
-def test_swap_update_equals_full_recompute(ds, seed):
+@given(tie_heavy_dataset(min_n=3, max_n=30), st.integers(0, 2**32 - 1), st.booleans())
+def test_swap_update_equals_full_recompute(ds, seed, table):
     # the swap search keeps nearest / second-nearest current by updating
     # only the rows a swap can touch; ties must resolve as a recompute would
     rng = np.random.default_rng(seed)
-    XT = np.ascontiguousarray(ds.values.T)
+    points = points_of(ds.values, table)
     p = int(rng.integers(1, ds.n))
     picked = [int(i) for i in rng.permutation(ds.n)[: p + 1]]
     medoids, newcomer = picked[:p], picked[p]
     pos = int(rng.integers(p))
-    nearest, d1, d2 = kmeans_module._nearest_two(XT, XT.take(medoids, 1))
+    before = kmeans_module._nearest_two(points, medoids)
+    kept = [a.copy() for a in before]
 
     def column(j):
-        return kmeans_module._distances(XT, slice(j, j + 1), slice(None))[0]
+        return points.distances(slice(j, j + 1), slice(None))[0]
 
     d_out = column(medoids[pos])
     medoids[pos] = newcomer
     got = kmeans_module._swap_nearest_two(
-        XT, medoids, pos, d_out, column(newcomer), nearest, d1, d2
+        points, medoids, pos, d_out, column(newcomer), *before
     )
-    for a, b in zip(got, kmeans_module._nearest_two(XT, XT.take(medoids, 1))):
+    for a, b in zip(got, kmeans_module._nearest_two(points, medoids)):
         assert np.array_equal(a, b)
+    for a, b in zip(before, kept):  # the pass a probe hands on is not modified
+        assert a.tobytes() == b.tobytes()
 
 
 @st.composite
@@ -378,24 +396,24 @@ def nearest_two_case(draw):
     that the nearest point often ties between positions."""
     X = draw(tie_heavy_dataset(min_n=2, max_n=30, m_range=(1, 5))).values
     picks = draw(st.lists(st.integers(0, len(X) - 1), min_size=1, max_size=6))
-    return X, X[picks]
+    return X, picks
 
 
 @settings(max_examples=150, deadline=None)
-@given(nearest_two_case(), st.booleans())
-def test_nearest_two_matches_reference_along_the_point_axis(case, one_point_blocks):
+@given(nearest_two_case(), st.booleans(), st.booleans())
+def test_nearest_two_matches_reference_along_the_point_axis(case, one_point_blocks, table):
     # each (p, w) block takes its argmin and minima down axis 0; ties go to
     # the lowest position, and a single point's d2 is inf
-    X, points = case
-    XT, PT = np.ascontiguousarray(X.T), np.ascontiguousarray(points.T)
+    X, picks = case
+    points = points_of(X, table)
     with pytest.MonkeyPatch.context() as mp:
         if one_point_blocks:  # every block holds one point of X
-            mp.setattr(kmeans_module, "_BLOCK_BUDGET", PT.size)
-        got = kmeans_module._nearest_two(XT, PT)
-    want = medoid_reference._nearest_two(X, points)
+            mp.setattr(kmeans_module, "_BLOCK_BUDGET", X.shape[1] * len(picks))
+        got = kmeans_module._nearest_two(points, picks)
+    want = medoid_reference._nearest_two(X, X[picks])
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    if len(points) == 1:
+    if len(picks) == 1:
         assert np.isinf(got[2]).all()
 
 
@@ -440,7 +458,7 @@ def assert_opening_answers_like_scan(ds, order, budget):
             mp.setattr(kmeans_module, "_BLOCK_BUDGET", budget)
         opening = kmeans_module._GreedyOpening(ds)
         for p in order:
-            assert_same_solution(opening.solve(p)[0], pmedian_greedy_scan(ds, p))
+            assert_same_solution(opening.solve(p), pmedian_greedy_scan(ds, p))
     assert len(opening.windows) == len(opening.medoids)
     for p, window in enumerate(opening.windows, start=1):
         assert opening.medoids[p - 1] in window
@@ -510,9 +528,9 @@ def test_kmeans_gc_probe_order_is_pinned(budget):
     probes, widths = [], []
     opening_costs = kmeans_module._opening_costs
 
-    def recording(XT, d, cols):
+    def recording(points, d, cols):
         widths.append(len(cols))
-        return opening_costs(XT, d, cols)
+        return opening_costs(points, d, cols)
 
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:  # small budgets chunk every pass finely
@@ -561,15 +579,16 @@ def test_kmeans_gc_outputs_keep_their_bits():
 
 def test_kmeans_gc_builds_one_partition_per_probe(monkeypatch):
     # the benchmark's kmeans-bisect instance: each probe builds only the
-    # partition Lloyd returns, and the singletons only if none is feasible
+    # partition Lloyd returns, and the singletons only if none is feasible;
+    # both are built by the one constructor from checked labels
     ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 400, 3, 1)))
-    from_labels, calls = Partition.from_labels, []
+    from_dense, calls = Partition._from_dense, []
 
-    def counting(ds, labels):
+    def counting(ds, labels, sizes):
         calls.append(len(labels))
-        return from_labels(ds, labels)
+        return from_dense(ds, labels, sizes)
 
-    monkeypatch.setattr(Partition, "from_labels", counting)
+    monkeypatch.setattr(Partition, "_from_dense", counting)
     probes = []
     kmeans_gc(ds, 0.6, on_probe=probes.append)
     assert len(probes) == 5
@@ -580,6 +599,36 @@ def test_kmeans_gc_builds_one_partition_per_probe(monkeypatch):
     assert kmeans_gc(line, 0.999999, on_probe=probes.append).k == line.n
     assert not any(probe.feasible for probe in probes)
     assert calls == [line.n] * (len(probes) + 1)
+
+
+def test_kmeans_gc_checks_each_probe_s_labels_once(monkeypatch):
+    # Lloyd checks the medoid labels it starts from, then builds its result
+    # from the labels and sizes its last pass counted, without a recheck
+    ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 400, 3, 1)))
+    dense_labels, calls = stats_module.dense_labels, []
+
+    def counting(ds, labels):
+        calls.append(len(labels))
+        return dense_labels(ds, labels)
+
+    monkeypatch.setattr(stats_module, "dense_labels", counting)
+    probes = []
+    kmeans_gc(ds, 0.6, on_probe=probes.append)
+    assert [probe.k for probe in probes] == [2, 4, 8, 6, 5]
+    assert calls == [ds.n] * 5
+
+
+def test_lloyd_result_owns_its_labels_when_no_element_moves():
+    # the first pass reassigns nothing, so the labels Lloyd ends on are the
+    # checked input, which keeps no copy of an int64 array
+    ds = three_point_line()
+    labels = np.array([0, 0, 1], dtype=np.int64)
+    res = kmeans(ds, labels)
+    assert (res.converged, res.iterations) == (True, 1)
+    assert res.partition.assignment.tolist() == [0, 0, 1]
+    assert not np.shares_memory(res.partition.assignment, labels)
+    assert res.partition.sizes.dtype == np.int64
+    res.partition.validate(ds)
 
 
 def plain_bisection(ds, r2t):

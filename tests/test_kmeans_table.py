@@ -1,10 +1,10 @@
 """The k-means search's stored distance table, and Lloyd's lazy repair.
 
 A search keeps its n x n distances when they fit ``_BLOCK_BUDGET``; every
-stage then reads its blocks from them instead of computing them. The tests
-here check that it changes no output bit, that the reads really replace the
-computations, and that building the table costs no more memory than the
-table itself and one chunk of the opening's first pass.
+medoid stage then reads its blocks from them instead of computing them. The
+tests here check that it changes no output bit, that the reads really
+replace the computations, and that building the table costs no more memory
+than the table itself and one chunk of the opening's first pass.
 """
 
 import sys
@@ -33,8 +33,8 @@ def search_record(ds, r2t):
     opening = kmeans_module._GreedyOpening(ds)
     stages = []
     for p in range(1, min(ds.n, 10) + 1):
-        sol, nearest_pass = opening.solve(p)
-        swapped = pmedian_local_search(ds, sol, _pass=nearest_pass, _points=opening.points)
+        sol = opening.solve(p)
+        swapped = pmedian_local_search(ds, sol)
         stages.append(
             (sol.medoids, sol.candidates, sol.assignment.tobytes(), swapped.medoids,
              swapped.assignment.tobytes())
@@ -50,11 +50,11 @@ def search_record(ds, r2t):
 
 def assert_table_changes_nothing(ds, r2t):
     with_table, points = search_record(ds, r2t)
-    assert isinstance(points, kmeans_module._Table)
+    assert points.table is not None
     with pytest.MonkeyPatch.context() as mp:  # one float short of the table
         mp.setattr(kmeans_module, "_BLOCK_BUDGET", ds.n * ds.n - 1)
         without, points = search_record(ds, r2t)
-    assert not isinstance(points, kmeans_module._Table)
+    assert points.table is None
     assert with_table == without
 
 
@@ -75,13 +75,12 @@ def test_search_reads_the_same_bits_from_the_table_on_tied_data(ds, r2t):
     assert_table_changes_nothing(ds, r2t)
 
 
-def test_with_the_table_only_medoid_passes_compute_distances(monkeypatch):
-    # after the first pass the folds, the confirm and window costs and the
-    # swap search's columns all read the table; _nearest_two's (p, w) blocks
-    # against the medoids are still computed
+def test_with_the_table_no_medoid_stage_computes_a_distance(monkeypatch):
+    # once the table is filled, the folds, the confirm and window costs, the
+    # nearest-two passes and the swap search's columns all read it
     ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 120, 2, 5)))
     opening = kmeans_module._GreedyOpening(ds)
-    assert isinstance(opening.points, kmeans_module._Table)
+    assert opening.points.table is not None
     callers = []
     sq_distances = stats_module.sq_distances
 
@@ -92,11 +91,11 @@ def test_with_the_table_only_medoid_passes_compute_distances(monkeypatch):
     monkeypatch.setattr(stats_module, "sq_distances", counting)
     swaps = 0
     for p in range(1, 9):
-        sol, nearest_pass = opening.solve(p)
-        out = pmedian_local_search(ds, sol, _pass=nearest_pass, _points=opening.points)
+        sol = opening.solve(p)
+        out = pmedian_local_search(ds, sol)
         swaps += out is not sol
     assert swaps > 0 and len(opening.windows) == 8  # seven folds, some swaps
-    assert set(callers) == {"_nearest_two"}
+    assert callers == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -108,20 +107,40 @@ def test_one_reader_gives_each_point_column_as_a_row_with_the_same_bits(ds, data
     dup = data.draw(st.lists(st.integers(0, ds.n - 1), min_size=1, max_size=5))
     ds = Dataset(np.concatenate([ds.values, ds.values[dup]]))
     n = ds.n
-    opening = kmeans_module._GreedyOpening(ds)
-    assert isinstance(opening.points, kmeans_module._Table)
+    points = kmeans_module._Points(ds)
+    assert points.table is not None
     with pytest.MonkeyPatch.context() as mp:  # one float short of the table
         mp.setattr(kmeans_module, "_BLOCK_BUDGET", n * n - 1)
-        XT = kmeans_module._GreedyOpening(ds).points
-    assert not isinstance(XT, kmeans_module._Table)
+        bare = kmeans_module._Points(ds)
+    assert bare.table is None
+    XT = bare.XT
     for j in range(n):
-        row = kmeans_module._distances(opening.points, slice(j, j + 1), slice(None))[0]
-        computed = kmeans_module._distances(XT, slice(j, j + 1), slice(None))[0]
+        row = points.distances(slice(j, j + 1), slice(None))[0]
+        computed = bare.distances(slice(j, j + 1), slice(None))[0]
         assert row.shape == computed.shape == (n,)
-        assert np.shares_memory(row, opening.points.values)
+        assert np.shares_memory(row, points.table)
         assert row.tobytes() == computed.tobytes()
         want = np.sqrt(stats_module.sq_distances(XT, XT[:, j : j + 1]))
         assert computed.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(tie_heavy_dataset(min_n=2, max_n=30, m_range=(1, 4)), st.data())
+def test_one_reader_gathers_index_blocks_as_new_row_major_arrays(ds, data):
+    # the nearest-two passes write into the medoid blocks they read, and
+    # the opening sums its column blocks down axis 0 row by row: a block
+    # indexed on either side is a C-order copy, with the computed bits
+    indices = st.lists(st.integers(0, ds.n - 1), min_size=1, max_size=8)
+    rows, cols = np.array(data.draw(indices)), np.array(data.draw(indices))
+    points = kmeans_module._Points(ds)
+    with pytest.MonkeyPatch.context() as mp:  # one float short of the table
+        mp.setattr(kmeans_module, "_BLOCK_BUDGET", ds.n * ds.n - 1)
+        bare = kmeans_module._Points(ds)
+    lo, hi = sorted(data.draw(st.lists(st.integers(0, ds.n), min_size=2, max_size=2)))
+    for r, c in ((rows, cols), (rows, slice(lo, hi)), (slice(lo, hi), cols), (slice(None), cols)):
+        read, computed = points.distances(r, c), bare.distances(r, c)
+        assert read.flags.c_contiguous and not np.shares_memory(read, points.table)
+        assert read.shape == computed.shape and read.tobytes() == computed.tobytes()
 
 
 def test_building_the_table_adds_only_the_table_and_one_chunk(monkeypatch):
@@ -129,12 +148,13 @@ def test_building_the_table_adds_only_the_table_and_one_chunk(monkeypatch):
     # columns; a table built in one shot would take an (m, n, n) temporary
     n, m = 200, 3
     ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, n, m, 3)))
+    monkeypatch.setattr(kmeans_module, "_BLOCK_BUDGET", n * n - 1)
+    bare = kmeans_module._Points(ds)  # the same chunks, no table
     monkeypatch.setattr(kmeans_module, "_BLOCK_BUDGET", n * n)
-    XT = np.ascontiguousarray(ds.values.T)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        kmeans_module._opening_costs(XT, np.full(n, np.inf), np.arange(n))
+        kmeans_module._opening_costs(bare, np.full(n, np.inf), np.arange(n))
         first_pass = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
@@ -142,8 +162,7 @@ def test_building_the_table_adds_only_the_table_and_one_chunk(monkeypatch):
         build = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert isinstance(opening.points, kmeans_module._Table)
-    table = opening.points.values.nbytes
+    table = opening.points.table.nbytes
     assert table == 8 * n * n
     assert first_pass < m * n * n * 8  # below one (m, n, n) temporary
     # the opening's d and scores, and small objects, besides

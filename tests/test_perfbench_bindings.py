@@ -34,6 +34,8 @@ def test_tracer_binds_every_site(monkeypatch):
             bench.run_algorithm(ds, algo, 0.7, VnsConfig(r_max=5, seed=1))
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["kmeans.probes"] > 0
+    # each probe looks the swap search up by its patched name
+    assert metrics["kmeans.pmedian_local_search_s"] > 0
     assert metrics["kmeans.lloyd_passes"] > 0
     assert metrics["vns.iterations"] > 0
 

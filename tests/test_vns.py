@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from gcluster import vns as vns_module
 from gcluster.dataset import Distribution, InstanceSpec
 from gcluster.stats import SSB_RESYNC_INTERVAL
 
-from conftest import dataset_with_partition
+from conftest import TIE_KINDS, dataset_with_partition, tie_heavy_values
 
 
 class ScriptedRng:
@@ -354,3 +355,66 @@ def test_vns_on_the_benchmark_instance_is_pinned():
     digest = hashlib.sha256(best.assignment.tobytes()).hexdigest()
     assert digest == "11dc78201b53484c579a4efa24f6dbcb56ed0cf44f2b869571ba124eef41290a"
     assert float(best.ssb).hex() == "0x1.8f41ec101615cp+11"
+
+
+def digest_datasets():
+    """Continuous data, continuous rows each repeated, and one dataset of
+    each tie-heavy kind, all seeded."""
+    rng = np.random.default_rng(20)
+    datasets = [
+        standardize(generate(InstanceSpec(Distribution.NORMAL01, 90, 3, seed))) for seed in (0, 1)
+    ]
+    distinct = rng.normal(size=(25, 2))
+    datasets.append(standardize(Dataset(distinct[rng.integers(0, 25, size=75)])))
+    datasets += [Dataset(tie_heavy_values(rng, 36, 2, kind)) for kind in TIE_KINDS]
+    return datasets
+
+
+def ward_vns_digests():
+    """sha256 of each Ward and VNS output on :func:`digest_datasets` at two
+    thresholds: a partition's k, SSB bits and assignment bytes, and for VNS
+    also its iterations, improvements and each best_history entry's k and
+    R^2 bits. ``wards_gc_from`` starts from a shake of ``wards_gc``'s result,
+    cold and with the warm drop matrix VNS would hand it."""
+    names = ("wards", "wards_from_cold", "wards_from_warm", "vns_wards", "vns_kmeans")
+    hashes = {name: hashlib.sha256() for name in names}
+
+    def feed(name, p, trace=None):
+        h = hashes[name]
+        h.update(struct.pack("<qd", p.k, p.ssb))
+        h.update(p.assignment.astype("<i8").tobytes())
+        if trace is not None:
+            h.update(struct.pack("<qq", trace.iterations, trace.improvements))
+            for _, k, best_r2 in trace.best_history:
+                h.update(struct.pack("<qd", k, best_r2))
+
+    for i, ds in enumerate(digest_datasets()):
+        for r2t in (0.6, 0.8):
+            start = wards_gc(ds, r2t)
+            feed("wards", start)
+            shaken = shake(ds, start, min(4, ds.n - start.k), np.random.default_rng(i))
+            feed("wards_from_cold", ward.wards_gc_from(ds, shaken, r2t))
+            warm = ward._Warm(start.sizes, ward.drop_matrix(ds, start))
+            feed("wards_from_warm", ward.wards_gc_from(ds, shaken, r2t, _warm=warm))
+            for starter in Starter:
+                cfg = VnsConfig(r_max=8, seed=i, starter=starter)
+                feed(f"vns_{starter.value}", *vns_gc(ds, r2t, cfg))
+    return {name: h.hexdigest() for name, h in hashes.items()}
+
+
+def test_ward_and_vns_outputs_keep_their_bits():
+    """A speed-up of Ward, its warm rebuild or VNS must leave every output
+    bit alone; ``vns_kmeans`` pins the k-means search as VNS's starter too.
+
+    Only a change that CHANGES.md names as a round-off behaviour change may
+    regenerate a digest, with this one-liner run from the repository root:
+    ``cd tests && PYTHONPATH=../src python -c "from test_vns import
+    ward_vns_digests; print(ward_vns_digests())"``.
+    """
+    assert ward_vns_digests() == {
+        "wards": "b1261d9f19bbdaa57fe321be4b6ed93d8e559604dbfc8d2f272f03507a3ecf12",
+        "wards_from_cold": "7878139130faf1e823a9f157e858fad44eccdb57834b1a72675b8300584c8cb0",
+        "wards_from_warm": "7878139130faf1e823a9f157e858fad44eccdb57834b1a72675b8300584c8cb0",
+        "vns_wards": "f236541ef26930317dddd576f13df1e34dbb441a038049dd41b52662eaebe102",
+        "vns_kmeans": "ac27f9f08cdfa1464cda00ce5965731f5e444aa78c994abbc2540b3c89b3cc2f",
+    }
