@@ -177,9 +177,8 @@ def vns_gc(ds: Dataset, r2t: float, cfg: VnsConfig) -> tuple[Partition, VnsTrace
     p_star = starter(ds, r2t)
     # every rebuild starts from the incumbent's stored drop matrix (8*k^2
     # bytes; a rebuild holds a second, larger one), and every shake from its
-    # ranking: both are made once per incumbent
-    warm = ward._Warm(p_star.sizes, ward.drop_matrix(ds, p_star))
-    ranking = _rank(ds, p_star)
+    # ranking: both are made once per incumbent, the starter's once a shake is due
+    warm = None
     best_r2 = stats.r2(ds, p_star)
     trace.best_history.append((time.perf_counter() - t0, p_star.k, best_r2))
 
@@ -192,6 +191,9 @@ def vns_gc(ds: Dataset, r2t: float, cfg: VnsConfig) -> tuple[Partition, VnsTrace
         if r > effective_rmax:
             trace.termination = Termination.RMAX_EXHAUSTED
             break
+        if warm is None:
+            warm = ward._Warm(p_star.sizes, ward.drop_matrix(ds, p_star))
+            ranking = _rank(ds, p_star)
         shaken = shake(ds, p_star, r, rng, _ranking=ranking)
         rebuilt = ward.wards_gc_from(ds, shaken, r2t, _warm=warm)
         trace.iterations += 1

@@ -23,15 +23,16 @@ formed one of its groups replays after that merge.
 
 A VNS rebuild runs the same loop from a stored drop matrix instead, the
 pairwise dissimilarity matrix of Muellner's generic algorithm (2011, section
-3.1). :func:`drop_matrix` costs the incumbent's pairs once, and each
-rebuild copies it, re-costs the rows of the groups a shake changed and keeps
-partner arrays as the matrix's row minima, ties to the lowest slot pair. A
-merge then re-costs only the merged group's row; every other stale slot
-takes the argmin of its stored row. What is left of the rebuild's matrix at
-the end is the drop matrix of its result, which it hands back for VNS to
-keep if it accepts the result. A matrix over k groups takes 8*k^2 bytes, and
-a rebuild keeps two alive, the incumbent's and its own: 0.25 MB at k = 177,
-18.6 MB at k = 1524.
+3.1), symmetric with inf on its diagonal only. :func:`drop_matrix` costs
+the incumbent's pairs once, and each rebuild copies it, re-costs the rows of
+the groups a shake changed and keeps partner arrays as the matrix's row
+minima, ties to the lowest slot pair. A merge then re-costs only the merged
+group's row; every other stale slot takes the argmin of its stored row.
+Every drop cell is written by :meth:`_Nearest.cost_rows`, a slot's row and
+column together. What is left of the rebuild's matrix at the end is the drop
+matrix of its result, which it hands back for VNS to keep if it accepts the
+result. A matrix over k groups takes 8*k^2 bytes, and a rebuild keeps two
+alive, the incumbent's and its own: 0.25 MB at k = 177, 18.6 MB at k = 1524.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ class _Nearest:
         self.weights = sizes.astype(np.float64)
         self.centroids = np.ascontiguousarray((sums / self.weights[:, None]).T)
         self.slots = np.arange(self.k)
+        # rows per block when a whole matrix is costed: about _BLOCK_CELLS floats
+        self.step = max(1, _BLOCK_CELLS // (self.k * len(self.centroids)))
 
     def drops(self, block, lo: int, hi: int | None = None) -> np.ndarray:
         """R^2 drops of merging each slot of ``block`` (an index array or a
@@ -97,17 +100,15 @@ class _Nearest:
         out /= self.total
         return out
 
-    def cost_rows(self, d: np.ndarray, rows: np.ndarray) -> None:
-        """Set the row and column of each of ``rows`` in the drop matrix
-        ``d``: drops above the diagonal, inf on and below it. Full rows are
-        costed in blocks of about ``_BLOCK_CELLS`` floats, then masked."""
-        slots = self.slots
-        step = max(1, _BLOCK_CELLS // (self.k * len(self.centroids)))
-        for start in range(0, len(rows), step):
-            block = rows[start : start + step]
-            drops = self.drops(block, 0)
-            d[block] = np.where(slots > block[:, None], drops, np.inf)
-            d[:, block] = np.where(slots < block[:, None], drops, np.inf).T
+    def cost_rows(self, d: np.ndarray, block, lo: int = 0) -> None:
+        """Set the drops of the slots ``block`` (a slice or an index array)
+        against slots lo..k-1 in the drop matrix ``d``: their rows and their
+        columns, with inf in each slot's own cell."""
+        drops = self.drops(block, lo)
+        d[block, lo : self.k] = drops
+        d[lo : self.k, block] = drops.T
+        own = self.slots[block]
+        d[own, own] = np.inf
 
     def compact(self, sizes: np.ndarray, sums: np.ndarray, g: int, v: int) -> int:
         """Follow :func:`stats.merge_in_place` of v into g on the weights and
@@ -126,10 +127,10 @@ class _Nearest:
 
 class _Stored(_Nearest):
     """The merge loop's partner arrays as the row minima of a stored drop
-    matrix ``D``: ``D[i, j]`` for i < j is the drop :meth:`drops` gives the
-    pair, and every cell on or below the diagonal is inf. Slot i's partner
-    ``nn[i]`` is the argmin of row i over the live slots, ties to the lowest
-    slot, and ``nd[i]`` is that drop.
+    matrix ``D``: ``D[i, j]`` and ``D[j, i]`` both hold the drop
+    :meth:`drops` gives the pair, and only the diagonal is inf. Slot i's
+    partner ``nn[i]`` is the argmin of row i over the live slots, ties to
+    the lowest slot, and ``nd[i]`` is that drop.
 
     It starts from ``warm``, the group sizes and :func:`drop_matrix` of the
     partition that ``sizes`` was shaken from: slots 0..k0-1 are its groups,
@@ -149,14 +150,15 @@ class _Stored(_Nearest):
         self.d = np.empty((k, k))
         self.d[:k0, :k0] = d0
         changed = np.concatenate((np.flatnonzero(sizes[:k0] != sizes0), self.slots[k0:]))
-        self.cost_rows(self.d, changed)
+        for start in range(0, len(changed), self.step):
+            self.cost_rows(self.d, changed[start : start + self.step])
         self.nn = np.empty(k, dtype=np.int64)
         self.nd = np.empty(k)
         self._reset(slice(None))
 
     def _reset(self, rows) -> None:
         """Set nn/nd of ``rows`` to their row's argmin over the live slots,
-        ties to the lowest slot; the top slot's row is all inf."""
+        ties to the lowest slot."""
         near = self.d[rows, : self.k]
         j = near.argmin(axis=1)
         self.nn[rows] = j
@@ -164,43 +166,38 @@ class _Stored(_Nearest):
 
     def best(self) -> tuple[int, int, float]:
         """The next merge: the lowest slot a with the smallest drop, its
-        partner b > a and that drop."""
+        partner b and that drop; b > a, or b would be a lower such slot."""
         a = int(self.nd[: self.k].argmin())
         return a, int(self.nn[a]), float(self.nd[a])
 
     def merged(self, sizes: np.ndarray, sums: np.ndarray, g: int, v: int) -> None:
-        """Follow :func:`stats.merge_in_place` of v into g with the last slot
-        moving to v, re-cost g's row, and reset the rows whose partner left
-        or changed, or that may now prefer g or v."""
+        """Follow :func:`stats.merge_in_place` of v into g: move the last
+        slot's row and column to v, re-cost g's, and reset the rows whose
+        partner left or changed, or that may now prefer g or v."""
         last = self.compact(sizes, sums, g, v)
         d, nn, nd = self.d, self.nn[:last], self.nd[:last]
         stale = (nn == g) | (nn == v) | (nn == last)
         if v != last:
-            d[:v, v] = d[:v, last]
-            d[v, v + 1 : last] = d[v + 1 : last, last]
+            d[v, :last] = d[last, :last]
+            d[:last, v] = d[:last, last]
+            d[v, v] = np.inf
             stale |= d[:last, v] <= nd
             stale[v] = True
-        row = self.drops(slice(g, g + 1), 0)[0]
-        d[:g, g] = row[:g]
-        d[g, g + 1 : last] = row[g + 1 :]
+        self.cost_rows(d, slice(g, g + 1))
         stale |= d[:last, g] <= nd
         stale[g] = True
         self._reset(stale.nonzero()[0])
 
 
 def drop_matrix(ds: Dataset, p: Partition) -> np.ndarray:
-    """The (k, k) drop matrix of ``p``: ``D[i, j]`` for i < j is the R^2 drop
-    of merging groups i and j, with the bits the merge loop gives it, and
-    every cell on or below the diagonal is inf. A block of rows lo..hi-1 is
-    costed against slots lo..k-1 only, so each pair is costed once."""
+    """The (k, k) drop matrix of ``p``: ``D[i, j]`` and ``D[j, i]`` are the
+    R^2 drop of merging groups i and j, with the bits the merge loop gives
+    it, and the diagonal is inf. A block of rows lo..hi-1 is costed against
+    slots lo..k-1 only, and mirrored, so each pair is costed once."""
     near = _Nearest(p.sizes, p.sums, stats.sst(ds).total)
-    k, slots = near.k, near.slots
-    d = np.full((k, k), np.inf)
-    step = max(1, _BLOCK_CELLS // (k * len(near.centroids)))
-    for lo in range(0, k, step):
-        hi = min(k, lo + step)
-        upper = slots[lo:] > slots[lo:hi, None]
-        d[lo:hi, lo:] = np.where(upper, near.drops(slice(lo, hi), lo), np.inf)
+    d = np.empty((near.k, near.k))
+    for lo in range(0, near.k, near.step):
+        near.cost_rows(d, slice(lo, lo + near.step), lo)
     return d
 
 
@@ -301,54 +298,53 @@ def _chain(p: Partition, total: float) -> tuple[np.ndarray, np.ndarray]:
     return heights, pairs
 
 
+def _replay_order(heights: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The order in which the chain's merges replay, by chain index: that of
+    a key, a merge's height raised to the keys of the merges that formed its
+    groups, so no merge replays before those, even where round-off puts its
+    height an ulp below theirs. Equal keys keep chain order. Each pass raises
+    the key one level, so data without such an inversion takes one pass."""
+    n = len(heights) + 1
+    formed = pairs >= n
+    child = np.where(formed, pairs - n, 0)
+    key = heights
+    while True:
+        raised = np.maximum(key, np.where(formed, key[child], -np.inf).max(axis=1))
+        if np.array_equal(raised, key):
+            return np.argsort(key, kind="stable")
+        key = raised
+
+
 class _Replay:
-    """The chain's merges as the merge source of :func:`_merge`, each group
-    id mapped to the slot the merges keep it in.
+    """The chain's merges, in the order of :func:`_replay_order`, as the
+    merge source of :func:`_merge`. Each group id is kept as one element: a
+    start group's first, and the first child's for the group a merge formed.
+    A merge's slots are read from ``assignment``, the partition's own, which
+    :func:`stats.merge_in_place` keeps up to date as the merges apply."""
 
-    They replay in the order of a key: a merge's height, raised to the keys
-    of the merges that formed its groups, so no merge replays before those,
-    even where round-off puts its height an ulp below theirs. Equal keys
-    keep chain order. Each pass raises the key one level, so data without
-    such an inversion takes one pass."""
-
-    def __init__(self, heights: np.ndarray, pairs: np.ndarray):
-        self.k = n = len(heights) + 1
-        formed = pairs >= n
-        child = np.where(formed, pairs - n, 0)
-        key = heights
-        while True:
-            raised = np.maximum(key, np.where(formed, key[child], -np.inf).max(axis=1))
-            if np.array_equal(raised, key):
-                break
-            key = raised
-        order = np.argsort(key, kind="stable")
+    def __init__(self, heights: np.ndarray, pairs: np.ndarray, assignment: np.ndarray):
+        element = np.unique(assignment, return_index=True)[1].tolist()
+        for x in pairs[:, 0].tolist():
+            element.append(element[x])
+        order = _replay_order(heights, pairs)
         self.heights = heights[order]
-        self.pairs = pairs[order]
-        self.formed = order + n
-        self.slot = np.arange(2 * n - 1)  # slot of each group id
-        self.group = np.arange(n)  # group id held by each slot
+        self.elements = np.array(element)[pairs[order]]
+        self.assignment = assignment
         self.i = 0
 
     def best(self) -> tuple[int, int, float]:
-        x, y = self.slot[self.pairs[self.i]].tolist()
+        x, y = self.assignment[self.elements[self.i]].tolist()
         a, b = (x, y) if x < y else (y, x)
         return a, b, float(self.heights[self.i])
 
     def merged(self, sizes: np.ndarray, sums: np.ndarray, g: int, v: int) -> None:
-        self.k = last = self.k - 1
-        new = self.formed[self.i]
-        self.group[g] = new
-        self.slot[new] = g
-        if v != last:
-            moved = self.group[v] = self.group[last]
-            self.slot[moved] = v
         self.i += 1
 
 
 def _chained(ds: Dataset, p: Partition, r2t: float, on_step: StepCallback | None) -> Partition:
     """Run the chain from ``p`` and replay its merges in place on ``p``'s
     arrays, which the caller owns."""
-    return _merge(ds, p, r2t, on_step, _Replay(*_chain(p, stats.sst(ds).total)))
+    return _merge(ds, p, r2t, on_step, _Replay(*_chain(p, stats.sst(ds).total), p.assignment))
 
 
 def wards_gc(ds: Dataset, r2t: float, on_step: StepCallback | None = None) -> Partition:

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import math
-import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +31,7 @@ from gcluster.kmeans import kmeans
 from gcluster.stats import sq_distances
 
 from conftest import small_dataset, tie_heavy_dataset
+from golden import search_digest
 import medoid_reference
 from medoid_reference import pmedian_greedy_scan, pmedian_local_search_scan
 
@@ -549,30 +549,12 @@ def test_kmeans_gc_probe_order_is_pinned(budget):
     assert widths.count(ds.n) == 1
 
 
-def search_digest():
-    """sha256 of kmeans_gc's outputs on a small grid: every probe's k, R^2
-    bits and converged flag, then the returned partition's SSB bits and
-    assignment bytes."""
-    digest = hashlib.sha256()
-    for n, m, seed in itertools.product((60, 150, 400), (2, 5), range(3)):
-        ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, n, m, seed)))
-        for r2t in (0.6, 0.8):
-            probes = []
-            p = kmeans_gc(ds, r2t, on_probe=probes.append)
-            for probe in probes:
-                digest.update(struct.pack("<qd?", probe.k, probe.r2, probe.converged))
-            digest.update(struct.pack("<d", p.ssb))
-            digest.update(p.assignment.astype("<i8").tobytes())
-    return digest.hexdigest()
-
-
 def test_kmeans_gc_outputs_keep_their_bits():
     """A speed-up of the k-means search must leave every output bit alone.
 
     Only a change that CHANGES.md names as a round-off behaviour change may
-    regenerate the digest, with this one-liner run from the repository root:
-    ``cd tests && PYTHONPATH=../src python -c "from test_kmeans import
-    search_digest; print(search_digest())"``.
+    regenerate the digest, with ``PYTHONPATH=src python tests/golden.py`` run
+    from the repository root.
     """
     assert search_digest() == "0dc7e5927b67daed03479374ac06131babb624b64e7bb499fd4d105ffad9e512"
 

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -27,7 +26,8 @@ from gcluster import vns as vns_module
 from gcluster.dataset import Distribution, InstanceSpec
 from gcluster.stats import SSB_RESYNC_INTERVAL
 
-from conftest import TIE_KINDS, dataset_with_partition, tie_heavy_values
+from conftest import dataset_with_partition
+from golden import ward_vns_digests
 
 
 class ScriptedRng:
@@ -210,6 +210,31 @@ def test_vns_tiny_instance_terminates_immediately():
     assert trace.termination is Termination.RMAX_EXHAUSTED
 
 
+@pytest.mark.parametrize(
+    "ds, r2t",
+    [
+        (standardize(generate(InstanceSpec(Distribution.NORMAL01, 30, 3, 1))), 1 - 2**-53),
+        (Dataset(np.array([[0.0], [0.0], [3.0]])), 0.5),
+    ],
+    ids=["k=n", "k=n-1"],
+)
+def test_vns_without_a_shake_builds_no_drop_matrix(monkeypatch, ds, r2t):
+    # With no shake radius left, VNS returns its starter's result without
+    # the 8*k^2-byte drop matrix or the shake ranking, which at k = n could
+    # not even be allocated for a large n.
+    def refuse(*args):
+        raise AssertionError("built with no shake to run")
+
+    starter = wards_gc(ds, r2t)
+    assert starter.k >= ds.n - 1
+    monkeypatch.setattr(ward, "drop_matrix", refuse)
+    monkeypatch.setattr(vns_module, "_rank", refuse)
+    part, trace = run_vns(ds, r2t, Starter.WARDS)
+    assert part.assignment.tobytes() == starter.assignment.tobytes()
+    assert trace.iterations == 0
+    assert trace.termination is Termination.RMAX_EXHAUSTED
+
+
 def test_vns_config_validation():
     with pytest.raises(ValueError):
         VnsConfig(r_max=0)
@@ -357,64 +382,19 @@ def test_vns_on_the_benchmark_instance_is_pinned():
     assert float(best.ssb).hex() == "0x1.8f41ec101615cp+11"
 
 
-def digest_datasets():
-    """Continuous data, continuous rows each repeated, and one dataset of
-    each tie-heavy kind, all seeded."""
-    rng = np.random.default_rng(20)
-    datasets = [
-        standardize(generate(InstanceSpec(Distribution.NORMAL01, 90, 3, seed))) for seed in (0, 1)
-    ]
-    distinct = rng.normal(size=(25, 2))
-    datasets.append(standardize(Dataset(distinct[rng.integers(0, 25, size=75)])))
-    datasets += [Dataset(tie_heavy_values(rng, 36, 2, kind)) for kind in TIE_KINDS]
-    return datasets
-
-
-def ward_vns_digests():
-    """sha256 of each Ward and VNS output on :func:`digest_datasets` at two
-    thresholds: a partition's k, SSB bits and assignment bytes, and for VNS
-    also its iterations, improvements and each best_history entry's k and
-    R^2 bits. ``wards_gc_from`` starts from a shake of ``wards_gc``'s result,
-    cold and with the warm drop matrix VNS would hand it."""
-    names = ("wards", "wards_from_cold", "wards_from_warm", "vns_wards", "vns_kmeans")
-    hashes = {name: hashlib.sha256() for name in names}
-
-    def feed(name, p, trace=None):
-        h = hashes[name]
-        h.update(struct.pack("<qd", p.k, p.ssb))
-        h.update(p.assignment.astype("<i8").tobytes())
-        if trace is not None:
-            h.update(struct.pack("<qq", trace.iterations, trace.improvements))
-            for _, k, best_r2 in trace.best_history:
-                h.update(struct.pack("<qd", k, best_r2))
-
-    for i, ds in enumerate(digest_datasets()):
-        for r2t in (0.6, 0.8):
-            start = wards_gc(ds, r2t)
-            feed("wards", start)
-            shaken = shake(ds, start, min(4, ds.n - start.k), np.random.default_rng(i))
-            feed("wards_from_cold", ward.wards_gc_from(ds, shaken, r2t))
-            warm = ward._Warm(start.sizes, ward.drop_matrix(ds, start))
-            feed("wards_from_warm", ward.wards_gc_from(ds, shaken, r2t, _warm=warm))
-            for starter in Starter:
-                cfg = VnsConfig(r_max=8, seed=i, starter=starter)
-                feed(f"vns_{starter.value}", *vns_gc(ds, r2t, cfg))
-    return {name: h.hexdigest() for name, h in hashes.items()}
-
-
 def test_ward_and_vns_outputs_keep_their_bits():
     """A speed-up of Ward, its warm rebuild or VNS must leave every output
     bit alone; ``vns_kmeans`` pins the k-means search as VNS's starter too.
 
     Only a change that CHANGES.md names as a round-off behaviour change may
-    regenerate a digest, with this one-liner run from the repository root:
-    ``cd tests && PYTHONPATH=../src python -c "from test_vns import
-    ward_vns_digests; print(ward_vns_digests())"``.
+    regenerate a digest, with ``PYTHONPATH=src python tests/golden.py`` run
+    from the repository root.
     """
     assert ward_vns_digests() == {
         "wards": "b1261d9f19bbdaa57fe321be4b6ed93d8e559604dbfc8d2f272f03507a3ecf12",
         "wards_from_cold": "7878139130faf1e823a9f157e858fad44eccdb57834b1a72675b8300584c8cb0",
         "wards_from_warm": "7878139130faf1e823a9f157e858fad44eccdb57834b1a72675b8300584c8cb0",
+        "wards_from_singletons_warm": "ef8e583e40702e03fd849d59e986bf93e860b46c7d9d6c11fe23b29228859295",
         "vns_wards": "f236541ef26930317dddd576f13df1e34dbb441a038049dd41b52662eaebe102",
         "vns_kmeans": "ac27f9f08cdfa1464cda00ce5965731f5e444aa78c994abbc2540b3c89b3cc2f",
     }

@@ -296,13 +296,14 @@ def test_warm_rebuild_matches_cold_rebuild(ds, seed, r2t, messy):
 
 
 def test_drop_matrix_holds_each_pairs_drop_above_the_diagonal():
+    # and the same bits mirrored below it, with inf on the diagonal only
     ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 30, 3, 2)))
     p = wards_gc(ds, 0.8)
     d = ward.drop_matrix(ds, p)
-    upper = np.triu(np.ones((p.k, p.k), dtype=bool), 1)
-    assert np.isinf(d[~upper]).all()
+    assert d.tobytes() == np.ascontiguousarray(d.T).tobytes()
+    assert np.isinf(np.diag(d)).all()
     total = stats.sst(ds).total
-    for i, j in zip(*upper.nonzero()):
+    for i, j in zip(*np.triu_indices(p.k, 1)):
         # the bits of the pair arithmetic every Ward source costs with, and
         # the SSB change the merge books, up to rounding
         assert float(d[i, j]).hex() == pair_drop(ds, p, i, j).hex()
@@ -388,10 +389,11 @@ def test_one_row_blocks_match_default_blocks(monkeypatch, duplicates):
 
 
 def _replayed(heights, pairs):
-    """The chain merges, by chain index, in the order ``_Replay`` hands them
-    out, and the deltas it reports for them."""
-    replay = ward._Replay(np.array(heights), np.array(pairs))
-    return (replay.formed - len(heights) - 1).tolist(), replay.heights.tolist()
+    """The chain merges, by chain index, in the order they replay, and the
+    deltas the replay reports for them."""
+    heights = np.array(heights)
+    order = ward._replay_order(heights, np.array(pairs))
+    return order.tolist(), heights[order].tolist()
 
 
 def test_replay_screen_passes_distinct_heights_above_their_children():
@@ -515,7 +517,7 @@ def test_chain_matches_reference_chain(ds, seed, from_singletons):
 
 
 @pytest.mark.parametrize("seed", range(1, 6))
-def test_integer_grids_and_duplicates_fall_back_to_the_loop(seed):
+def test_integer_grids_and_duplicates_follow_the_chains_tie_rule(seed):
     # Grids and duplicate rows tie at almost every step. They run the chain
     # with its own tie rule, and every replayed step is a minimum-drop merge.
     rng = np.random.default_rng(seed)
@@ -528,7 +530,7 @@ def test_integer_grids_and_duplicates_fall_back_to_the_loop(seed):
         assert steps
 
 
-def test_tied_row_minimum_falls_back_to_the_loop():
+def test_tied_row_minimum_takes_the_chains_pick_cold_and_the_lowest_pair_stored():
     # Slot 2 (value 1) is as near to slot 1 as to slot 3. The chain reaches
     # it from slot 3, so it merges 2 with 3, its previous element; the
     # stored-matrix merges take the lowest pair (1, 2) instead.
