@@ -168,17 +168,14 @@ class Partition:
         return cls.from_labels(ds, np.arange(ds.n, dtype=np.int64))
 
     def validate(self, ds: Dataset) -> None:
-        """Check structural invariants plus the cached-SSB agreement; raise
-        :class:`SolverError` on the first one that fails."""
-        if self.assignment.shape != (ds.n,):
-            raise SolverError(
-                f"assignment has shape {self.assignment.shape}, expected ({ds.n},)"
-            )
-        if self.k < 1 or (self.sizes < 1).any():
-            raise SolverError("partition has an empty group or no group")
-        if int(self.sizes.sum()) != ds.n:
-            raise SolverError(f"group sizes sum to {int(self.sizes.sum())}, not n={ds.n}")
-        counts = np.bincount(self.assignment, minlength=self.k)
+        """Check the partition against ``ds`` and raise :class:`SolverError`
+        on the first fault: an assignment that :func:`dense_labels` refuses,
+        ``sizes`` other than its group counts, ``sums`` other than its group
+        sums, or a cached SSB that disagrees with a from-scratch one."""
+        try:
+            _, counts = dense_labels(ds, self.assignment)
+        except ValueError as exc:
+            raise SolverError(f"assignment is not a partition: {exc}") from None
         if len(counts) != self.k or (counts != self.sizes).any():
             raise SolverError("sizes disagree with assignment")
         expect = group_sums(ds.values, self.assignment, self.k)
@@ -318,24 +315,14 @@ def apply_merge(ds: Dataset, p: Partition, a: int, b: int) -> Partition:
     return Partition(q.assignment, q.sizes[:last], q.sums[:last], ssb, updates)
 
 
-def _removal_gain(
-    ds: Dataset, assignment: np.ndarray, sizes: np.ndarray, sums: np.ndarray, elem: int
-) -> float:
-    """Unnormalized SSB increase from isolating ``elem`` as a singleton."""
-    a = int(assignment[elem])
-    sa = float(sizes[a])
-    if sa < 2:
-        raise ValueError(f"element {elem} is already in a singleton group")
-    diff = sums[a] / sa - ds.values[elem]
-    return sa / (sa - 1.0) * float(diff @ diff)
-
-
 def apply_removals(ds: Dataset, p: Partition, elems: Sequence[int]) -> Partition:
     """Isolate each of ``elems`` in order into a new group; the i-th becomes
-    id k+i, so the result has k+len(elems) groups.
+    id k+i, so the result has k+len(elems) groups. An element whose group
+    has shrunk to one member raises ``ValueError``.
 
-    Equal to folding :func:`apply_removal` over ``elems``, bit for bit, but
-    the arrays are allocated once, with room for every new group.
+    The one implementation of a removal, costed by the module docstring's
+    identity; :func:`apply_removal` is its one-element form. The arrays are
+    allocated once, with room for every new group.
     """
     k, r = p.k, len(elems)
     assignment = p.assignment.copy()
@@ -345,9 +332,13 @@ def apply_removals(ds: Dataset, p: Partition, elems: Sequence[int]) -> Partition
     sums[:k] = p.sums
     ssb, updates = p.ssb, p.updates
     for i, elem in enumerate(elems):
-        gain = _removal_gain(ds, assignment, sizes, sums, elem)
         a = int(assignment[elem])
+        sa = float(sizes[a])
+        if sa < 2:
+            raise ValueError(f"element {elem} is already in a singleton group")
         row = ds.values[elem]
+        diff = sums[a] / sa - row
+        gain = sa / (sa - 1.0) * float(diff @ diff)
         assignment[elem] = k + i
         sizes[k + i] = 1
         sizes[a] -= 1

@@ -104,39 +104,46 @@ def _rank(ds: Dataset, p_star: Partition) -> _Ranking:
 
 
 def _draw(ranking: _Ranking, n: int, r: int, rng) -> list[int]:
-    """The r elements a shake isolates, drawn from :func:`_rank`'s output."""
+    """The r elements a shake isolates, drawn from :func:`_rank`'s output.
+
+    A ranked element is live while it is unpicked and its group still holds
+    two members; passes and the top-fill read the ranking through that one
+    rule. A pass gives its i-th live element a coin and takes it iff the
+    coin beats i/min(n, 2r); it stops at i = min(n, 2r), once r are picked
+    or at the cap of 100*r coins. Passes repeat while a live element is
+    left, and the top-fill then takes the best live elements outright.
+    """
     ranked, member_of, group_left = ranking
     group_left = list(group_left)  # the ranking is kept for later draws
+    picked: list[int] = []
+    taken: set[int] = set()
+
+    def live():
+        return (e for e in ranked if e not in taken and group_left[member_of[e]] >= 2)
+
+    def take(elem):
+        picked.append(elem)
+        taken.add(elem)
+        group_left[member_of[elem]] -= 1
+
     denom = min(n, 2 * r)
-    selected: list[int] = []
-    draws = 0
     cap = _DRAW_CAP_PER_REMOVAL * r
-    while len(selected) < r and draws < cap and ranked:
-        kept: list[int] = []
-        position = 0
-        for idx, elem in enumerate(ranked):
-            if group_left[member_of[elem]] < 2:
-                continue  # depleted by an earlier pick; drop silently
-            position += 1
-            if len(selected) == r or draws >= cap or position >= denom:
-                # r picked, the cap hit, or zero odds from here on: the pass
-                # ends, and a depleted candidate among the rest drops out later
-                kept.extend(ranked[idx:])
-                break
+    draws = 0
+    while len(picked) < r and draws < cap:
+        before = draws
+        for i, elem in enumerate(live(), 1):
+            if len(picked) == r or draws >= cap or i >= denom:
+                break  # r picked, the cap hit, or zero odds from here on
             draws += 1
-            if rng.random() > position / denom:
-                selected.append(elem)
-                group_left[member_of[elem]] -= 1
-            else:
-                kept.append(elem)
-        ranked = kept
-    for elem in ranked:  # deterministic top-fill after the draw cap
-        if len(selected) == r:
+            if rng.random() > i / denom:
+                take(elem)
+        if draws == before:
+            break  # no live element is left
+    for elem in live():  # deterministic top-fill after the draw cap
+        if len(picked) == r:
             break
-        if group_left[member_of[elem]] >= 2:
-            selected.append(elem)
-            group_left[member_of[elem]] -= 1
-    return selected
+        take(elem)
+    return picked
 
 
 def shake(

@@ -1,17 +1,21 @@
 """Digests of every algorithm's outputs on small seeded grids, which the
-``*_keep_their_bits`` tests pin.
+``*_keep_their_bits`` tests pin, and the k table, ``k_table.csv``, which
+the acceptance suite checks.
 
-Print every digest, run from the repository root::
+Print every digest and rewrite the k table, run from the repository root::
 
     PYTHONPATH=src python tests/golden.py
 
-Only a change that CHANGES.md names as a round-off behaviour change may
-regenerate a pinned value.
+Only a change that CHANGES.md names as a behaviour change (round-off
+included) may regenerate a pinned value or the table; the table's diff is
+then that change's before/after distribution of k.
 """
 
+import csv
 import hashlib
 import itertools
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +26,7 @@ from gcluster import (
     VnsConfig,
     generate,
     kmeans_gc,
+    r2,
     shake,
     standardize,
     vns_gc,
@@ -107,7 +112,58 @@ def search_digest():
     return digest.hexdigest()
 
 
+K_TABLE = Path(__file__).with_name("k_table.csv")
+K_TABLE_HEADER = ["m", "r2t", "seed", "algorithm", "k", "r2"]
+
+
+def k_table_grid():
+    """The k table's instances, criterion 6's N-100 grid: (m, r2t, seed,
+    dataset) for m in {3, 5, 10}, seeds 1-10 and r2t in {0.6, 0.7, 0.8}."""
+    for m in (3, 5, 10):
+        for seed in range(1, 11):
+            ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 100, m, seed)))
+            for r2t in (0.6, 0.7, 0.8):
+                yield m, r2t, seed, ds
+
+
+def k_table_runs(ds, r2t, seed, wards):
+    """The table's four algorithms on one instance, by name, given its
+    ``wards_gc`` result; VNS runs with its default settings and ``seed``."""
+    runs = {"wards": wards, "kmeans": kmeans_gc(ds, r2t)}
+    for starter in Starter:
+        runs[f"vns-{starter.value}"] = vns_gc(ds, r2t, VnsConfig(seed=seed, starter=starter))[0]
+    return runs
+
+
+def k_table_rows(runs):
+    """The table's rows, sorted by (m, r2t, seed), from ``runs`` mapping
+    (m, r2t, seed) to (dataset, :func:`k_table_runs`' result): each
+    partition's k and the ``repr`` of its R^2, so the rows pin R^2's bits."""
+    rows = []
+    for (m, r2t, seed), (ds, by_algorithm) in sorted(runs.items()):
+        for algorithm, p in by_algorithm.items():
+            rows.append([str(m), repr(r2t), str(seed), algorithm, str(p.k), repr(r2(ds, p))])
+    return rows
+
+
+def read_k_table():
+    """The committed table's lines, header first, as lists of strings."""
+    with open(K_TABLE, newline="") as f:
+        return list(csv.reader(f))
+
+
+def write_k_table():
+    runs = {
+        (m, r2t, seed): (ds, k_table_runs(ds, r2t, seed, wards_gc(ds, r2t)))
+        for m, r2t, seed, ds in k_table_grid()
+    }
+    with open(K_TABLE, "w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows([K_TABLE_HEADER, *k_table_rows(runs)])
+
+
 if __name__ == "__main__":
     for name, value in ward_vns_digests().items():
         print(f"{name}: {value}")
     print(f"kmeans_gc: {search_digest()}")
+    write_k_table()
+    print(f"wrote {K_TABLE}")

@@ -32,6 +32,7 @@ from gcluster.dataset import Distribution, InstanceSpec
 from gcluster.stats import merge_drop
 
 from conftest import densify
+from golden import K_TABLE_HEADER, k_table_grid, k_table_rows, k_table_runs, read_k_table
 from ward_reference import best_merge_scan
 
 REL = 1e-9
@@ -76,15 +77,24 @@ def oracle_optimal_k(oracle, r2t):
 def ward_grid_n100():
     """Ward runs for {N-100-3, N-100-5, N-100-10} x thresholds x seeds 1..10."""
     grid = {}
-    for m in (3, 5, 10):
-        for seed in range(1, 11):
-            ds = standardize(generate(InstanceSpec(Distribution.NORMAL01, 100, m, seed)))
-            for r2t in ALGO_THRESHOLDS:
-                t0 = time.perf_counter()
-                part = wards_gc(ds, r2t)
-                elapsed = time.perf_counter() - t0
-                grid[(m, r2t, seed)] = (ds, part, elapsed)
+    for m, r2t, seed, ds in k_table_grid():
+        t0 = time.perf_counter()
+        part = wards_gc(ds, r2t)
+        elapsed = time.perf_counter() - t0
+        grid[(m, r2t, seed)] = (ds, part, elapsed)
     return grid
+
+
+@pytest.fixture(scope="module")
+def n100_runs(ward_grid_n100):
+    """The k table's runs on each cell of ``ward_grid_n100``, which
+    criterion 6 checks too, and the seconds they took."""
+    t0 = time.perf_counter()
+    runs = {
+        (m, r2t, seed): (ds, k_table_runs(ds, r2t, seed, part))
+        for (m, r2t, seed), (ds, part, _) in ward_grid_n100.items()
+    }
+    return runs, time.perf_counter() - t0
 
 
 def test_c1_variance_identities():
@@ -208,7 +218,7 @@ def test_c5_reference_grid_medians(ward_grid_n100):
     )
 
 
-def test_c6_vns_dominance(oracle_pack, ward_grid_n100):
+def test_c6_vns_dominance(oracle_pack, n100_runs):
     t0 = time.perf_counter()
 
     def check_pair(ds, starter_part, vns_part):
@@ -225,21 +235,23 @@ def test_c6_vns_dominance(oracle_pack, ward_grid_n100):
             check_pair(ds, ward_start, pw)
             check_pair(ds, km_start, pk)
 
-    for m in (3, 5, 10):
-        for seed in range(1, 11):
-            for r2t in ALGO_THRESHOLDS:
-                ds, ward_start, _ = ward_grid_n100[(m, r2t, seed)]
-                pw, _ = vns_gc(ds, r2t, VnsConfig(seed=seed, starter=Starter.WARDS))
-                check_pair(ds, ward_start, pw)
-                km_start = kmeans_gc(ds, r2t)
-                pk, _ = vns_gc(ds, r2t, VnsConfig(seed=seed, starter=Starter.KMEANS))
-                check_pair(ds, km_start, pk)
-    elapsed = time.perf_counter() - t0
+    runs, grid_elapsed = n100_runs
+    for ds, by_algorithm in runs.values():
+        check_pair(ds, by_algorithm["wards"], by_algorithm["vns-wards"])
+        check_pair(ds, by_algorithm["kmeans"], by_algorithm["vns-kmeans"])
+    elapsed = time.perf_counter() - t0 + grid_elapsed
     announce(
         "criterion 6 (VNS never worse than its starter, full grid)",
         elapsed < 600.0,
         f"elapsed {elapsed:.1f}s",
     )
+
+
+def test_k_table_matches_the_committed_table(n100_runs):
+    """Every k and R^2 bit on criterion 6's grid equals ``k_table.csv``,
+    which ``tests/golden.py`` writes."""
+    runs, _ = n100_runs
+    assert read_k_table() == [K_TABLE_HEADER, *k_table_rows(runs)]
 
 
 def test_c7_non_hierarchy_exhibit(oracle_pack):

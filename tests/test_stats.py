@@ -381,6 +381,17 @@ def test_validate_raises_solver_error_on_corrupt_partition():
     bad_ssb.ssb *= 1.01
     with pytest.raises(SolverError, match="cached SSB"):
         bad_ssb.validate(ds)
+    # the label rule is dense_labels', and its refusals come out as SolverError
+    for assignment in ([0, 0, 1], [0, 0, 2, 2], [0.5, 0, 1, 1], [-1, 0, 1, 1]):
+        bad_labels = p.copy()
+        bad_labels.assignment = np.array(assignment)
+        with pytest.raises(SolverError, match="assignment is not a partition"):
+            bad_labels.validate(ds)
+    empty_group = p.copy()
+    empty_group.sizes = np.array([2, 2, 0])
+    empty_group.sums = np.vstack([p.sums, [[0.0]]])
+    with pytest.raises(SolverError, match="sizes disagree"):
+        empty_group.validate(ds)
 
 
 def _add_at_sums(values, labels, k):

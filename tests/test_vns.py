@@ -26,7 +26,8 @@ from gcluster import vns as vns_module
 from gcluster.dataset import Distribution, InstanceSpec
 from gcluster.stats import SSB_RESYNC_INTERVAL
 
-from conftest import dataset_with_partition
+import shake_reference
+from conftest import dataset_with_partition, densify
 from golden import ward_vns_digests
 
 
@@ -110,6 +111,52 @@ def test_shake_falls_back_to_top_fill_after_draw_cap():
     taken = shake(ds, p, 1, rng)
     assert taken.k == p.k + 1
     assert taken.assignment.tolist() == [2, 1, 0]  # top-ranked candidate taken
+
+
+class CountingCoins:
+    """Stands in for a Generator and counts its ``random()`` calls: seeded
+    uniforms, all zeros (every coin refuses, so the draw reaches the cap and
+    the top-fill), or seeded picks from {0, 0.5, 0.99}, which land on the
+    odds i/min(n, 2r) exactly."""
+
+    def __init__(self, stream, seed):
+        self.stream = stream
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        if self.stream == "uniform":
+            return self.rng.random()
+        if self.stream == "refuse":
+            return 0.0
+        return (0.0, 0.5, 0.99)[self.rng.integers(3)]
+
+
+@st.composite
+def draw_case(draw):
+    """A ranking in the form ``vns._rank`` gives, with many groups of two
+    that deplete after one pick, and a radius r in 1..n-k."""
+    n = draw(st.integers(3, 60))
+    labels = densify(draw(st.lists(st.integers(0, n // 2), min_size=n, max_size=n)))
+    sizes = np.bincount(labels)
+    ranked = draw(st.permutations(np.flatnonzero(sizes[labels] >= 2).tolist()))
+    r = draw(st.integers(1, n - len(sizes)))
+    return (ranked, labels.tolist(), sizes.tolist()), n, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(draw_case(), st.sampled_from(["uniform", "refuse", "mixed"]), st.integers(0, 2**32 - 1))
+def test_draw_picks_and_coins_equal_the_reference(case, stream, seed):
+    # the same picks in the same order from the same number of coins as the
+    # list-rebuilding draw in tests/shake_reference.py, and the ranking kept
+    ranking, n, r = case
+    before = (list(ranking[0]), list(ranking[1]), list(ranking[2]))
+    ours, reference = CountingCoins(stream, seed), CountingCoins(stream, seed)
+    picked = vns_module._draw(ranking, n, r, ours)
+    assert picked == shake_reference._draw(ranking, n, r, reference)
+    assert ours.calls == reference.calls
+    assert len(picked) == r and ranking == before
 
 
 @pytest.mark.parametrize("start_updates", [0, SSB_RESYNC_INTERVAL - 2])

@@ -550,7 +550,9 @@ def test_tied_row_minimum_takes_the_chains_pick_cold_and_the_lowest_pair_stored(
 
 @settings(max_examples=60, deadline=None)
 @given(tie_heavy_dataset(), st.sampled_from([0.2, 0.5, 0.8, 0.95]))
-def test_tie_heavy_cold_starts_fall_back_when_the_loop_meets_a_tie(ds, r2t):
+def test_tie_heavy_cold_steps_are_minimum_drop_merges_and_untied_runs_match_the_stored_matrix(
+    ds, r2t
+):
     # Every step of a tie-heavy cold start is a minimum-drop merge. Where no
     # step had two pairs at the smallest drop, no choice hung on a tie, and
     # the run is the stored-matrix merges' run bit for bit.
